@@ -79,6 +79,10 @@ def _parse_sizes(spec: str) -> list:
         raise UsageError(f"bad size list: {spec!r}") from exc
     if any(s < 1 for s in sizes):
         raise UsageError("sizes must be positive")
+    if any(s >= diffract.FLOAT_ORBIT_LIMIT for s in sizes):
+        # densities take the wave vector as a float, whose doubling orbit
+        # resolves sizes below 2^53 only
+        raise UsageError(f"sizes must be below 2^53 = {diffract.FLOAT_ORBIT_LIMIT}")
     return sizes
 
 

@@ -9,14 +9,22 @@ l separates the spectrum: growth like l is a Bragg peak, growth like l^alpha
 with alpha in (-1,1) is the singular-continuous signature, and decay like
 1/l is the generic (extinct) case.
 
-Sign-sequence exponential sums S_l(x) = sum_{j<l} eta_j exp(-2 pi i j x) are
-handled separately: at l = 2^n they collapse to the classical product
+With unit weights nu_l reduces to two sums over m < L ~ l/2 of z^m and
+eta_m z^m, z = exp(-i k (a+b)); both split over the binary blocks of L into
+products over its digits, so a density costs O(log l) operations instead of
+an l-term scan.  Weighted combs keep the vectorized scan.
+
+Sign-sequence exponential sums S_l(x) = sum_{j<l} eta_j exp(-2 pi i j x) use
+the same block products.  At l = 2^n they collapse to the classical product
 
     |S_{2^n}(x)|^2 = 2^{2n} prod_{j<n} sin^2(pi 2^j x),
 
 which is used both as a fast evaluator and as a structural identity under
-test.  Fourier coefficients c_m of the tile-modulation phase and their
-even/odd partial sums kappa, kappa_eta decide Bragg extinction.
+test.  The block products read the doubling orbit frac(2^j x): exact when x
+is a Fraction, while a float x carries only 53 bits of it, so float
+frequencies are refused from l = 2^53 on.  Fourier coefficients c_m of the
+tile-modulation phase and their even/odd partial sums kappa, kappa_eta
+decide Bragg extinction.
 """
 
 from __future__ import annotations
@@ -122,16 +130,50 @@ def density_at_sizes(
     weights: np.ndarray | None = None,
     chunk: int = 1 << 20,
 ) -> np.ndarray:
-    """Approximant densities at several truncation sizes in one cumulative
-    pass over n (vectorized, chunked).  `weights`, when given, is an array
-    indexed by n-1 covering max(sizes)."""
+    """Approximant densities nu_l(k) at several truncation sizes, in caller
+    order.
+
+    With unit weights each size costs O(log l).  Splitting n by parity,
+    f(2m) = m(a+b) and f(2m+1) = m(a+b) + c + d eta_m give
+
+        sum_{n<2L} e^{-ik f(n)} = (1 + e^{-ikc} cos kd) G_L(z) - i e^{-ikc} sin(kd) T_L(z)
+
+    with c = (a+b)/2, d = (a-b)/2 and z = e^{-ik(a+b)}; G_L and T_L come from
+    `_block_sums`.  The float k carries the doubling orbit of z exactly only
+    for l < 2^53, so larger sizes raise ValueError.
+
+    `weights`, when given, is an array indexed by n-1 covering max(sizes);
+    weighted densities are one cumulative O(max(sizes)) pass over n,
+    vectorized in chunks.
+    """
     caller_sizes = [int(s) for s in sizes]
     if not caller_sizes:
         return np.zeros(0)
-    sorted_idx = np.argsort(caller_sizes, kind="stable")
-    sizes_arr = np.asarray(caller_sizes, dtype=np.int64)[sorted_idx]
-    if sizes_arr[0] < 1:
+    if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
+    if weights is not None:
+        return _weighted_density_scan(k, caller_sizes, params, weights, chunk)
+    x = k * float(params.a + params.b) / (2.0 * math.pi)  # z = e^{-2 pi i x}
+    _check_float_orbit(x, max(caller_sizes))
+    kd = k * float((params.a - params.b) / 2)
+    rot = cmath.exp(-1j * k * float(params.alpha1))
+    even_w = 1.0 + rot * math.cos(kd)
+    odd_w = -1j * rot * math.sin(kd)
+    out = np.empty(len(caller_sizes))
+    for idx, l in enumerate(caller_sizes):
+        # n < 2L covers n = 0..l for odd l and n = 0..l-1 for even l
+        g, t, z_half = _block_sums(x, (l + 1) // 2)
+        total = even_w * _unscale(g) + odd_w * _unscale(t) - 1.0  # drop n = 0
+        if l % 2 == 0:
+            total += z_half  # n = l: f(l) = (l/2)(a+b)
+        out[idx] = abs(total) ** 2 / l
+    return out
+
+
+def _weighted_density_scan(k, sizes, params, weights, chunk) -> np.ndarray:
+    """The weighted comb: one cumulative pass over n up to max(sizes)."""
+    sorted_idx = np.argsort(sizes, kind="stable")
+    sizes_arr = np.asarray(sizes, dtype=np.int64)[sorted_idx]
     l_max = int(sizes_arr[-1])
     half_sum = float(params.alpha1)
     half_diff = float((params.a - params.b) / 2)
@@ -146,8 +188,7 @@ def density_at_sizes(
         eta_prev = sign_array(lo - 1, hi - 1)
         f[odd] += half_diff * eta_prev[odd]
         ph = np.exp(-1j * k * f)
-        if weights is not None:
-            ph *= np.asarray(weights[lo - 1 : hi - 1])
+        ph *= np.asarray(weights[lo - 1 : hi - 1])
         cs = np.cumsum(ph)
         while pos < len(sizes_arr) and sizes_arr[pos] < hi:
             s = int(sizes_arr[pos])
@@ -157,6 +198,104 @@ def density_at_sizes(
     result = np.empty(len(out))
     result[sorted_idx] = out
     return result
+
+
+# ---------------------------------------------------------------------------
+# binary block sums
+# ---------------------------------------------------------------------------
+
+FLOAT_ORBIT_LIMIT = 1 << 53
+
+
+def _dyadic_fracs(x, n: int) -> tuple:
+    """frac(2^j x) for j = 0..n-1, taken in (-1/2, 1/2], as integer
+    numerators over the denominator of x: (numerators, den).
+
+    The orbit runs on the integer ratio of x, so it is exact for a Fraction,
+    an int and a float alike.  A float is a dyadic rational: its orbit
+    reaches 0 once its 53-bit mantissa has been shifted out.
+    """
+    num, den = x.as_integer_ratio()
+    num %= den
+    out = []
+    for _ in range(n):
+        out.append(num if 2 * num <= den else num - den)
+        num = 2 * num % den
+    return out, den
+
+
+def _check_float_orbit(x, l: int) -> None:
+    """Refuse a float frequency at sizes its 53-bit doubling orbit cannot
+    resolve (the orbit of a float reaches 0 after about 53 doublings)."""
+    if l >= FLOAT_ORBIT_LIMIT and not isinstance(x, (Fraction, int)):
+        raise ValueError(
+            f"l = {l} needs more of the frequency's doubling orbit than the 53 "
+            "bits of a float hold (float frequencies need l < 2^53); pass a Fraction"
+        )
+
+
+def _rescale(m: complex, e: int) -> tuple:
+    """(m, e) -> (m', e') with m 2^e = m' 2^e' and 1/2 <= |m'| < 1 (0 stays 0)."""
+    if m == 0:
+        return m, e
+    f = math.frexp(abs(m))[1]
+    return m * math.ldexp(1.0, -f), e + f
+
+
+def _add_scaled(acc: tuple, term: tuple) -> tuple:
+    """Sum of two (mantissa, exponent) pairs, at the larger exponent."""
+    if term[0] == 0:
+        return acc
+    if acc[0] == 0:
+        return term
+    if acc[1] < term[1]:
+        acc, term = term, acc
+    return acc[0] + term[0] * math.ldexp(1.0, term[1] - acc[1]), acc[1]
+
+
+def _unscale(pair: tuple) -> complex:
+    return pair[0] * math.ldexp(1.0, pair[1])
+
+
+def _block_sums(x, big_l: int) -> tuple:
+    """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
+    L >= 1, in O(log L) operations; returns (G_L, T_L, z^L).
+
+    A binary block of L of length 2^j at offset o (the sum of the higher bits
+    of L) contributes z^o prod_{i<j} (1 + z^{2^i}) to G_L and
+    eta_o z^o prod_{i<j} (1 - z^{2^i}) to T_L.  With theta_i = pi psi_i and
+    psi_i = frac(2^i x) taken in (-1/2, 1/2] (`_dyadic_fracs`, exact), the
+    factors are 2 cos(theta_i) e^{-i theta_i} and 2i sin(theta_i) e^{-i theta_i}.
+    Each is a sine whose argument is exactly 0 where the factor vanishes
+    (z^{2^i} = -1 for G, z^{2^i} = 1 for T).  G_L and T_L
+    are (mantissa, exponent) pairs, value = mantissa * 2^exponent, so no L
+    overflows or underflows.
+    """
+    top = big_l.bit_length() - 1
+    nums, den = _dyadic_fracs(x, top + 1)
+    prod_g, prod_t = [(1 + 0j, 0)], [(1 + 0j, 0)]  # products over i < j
+    steps = []  # z^{2^i}
+    for i, r in enumerate(nums):  # psi_i = r / den
+        s = math.sin(math.pi * (r / den))
+        c = math.sin(math.pi * ((den - 2 * abs(r)) / (2 * den)))
+        rot = complex(c, -s)  # e^{-i theta}
+        steps.append(rot * rot)
+        if i < top:
+            m, e = prod_g[-1]
+            prod_g.append(_rescale(m * (2.0 * c) * rot, e))
+            m, e = prod_t[-1]
+            prod_t.append(_rescale(m * (2j * s) * rot, e))
+    g = t = (0j, 0)
+    z_off, eta_off = 1 + 0j, 1  # z^o and eta_o at the current block's offset
+    for j in range(top, -1, -1):
+        if big_l >> j & 1:
+            m, e = prod_g[j]
+            g = _add_scaled(g, (z_off * m, e))
+            m, e = prod_t[j]
+            t = _add_scaled(t, (eta_off * z_off * m, e))
+            z_off *= steps[j]
+            eta_off = -eta_off
+    return g, t, z_off
 
 
 # ---------------------------------------------------------------------------
@@ -173,62 +312,44 @@ def eta_sum(l: int, x: float) -> complex:
     return acc
 
 
-def eta_sums_at_sizes(x: float, sizes: Sequence[int], chunk: int = 1 << 20) -> np.ndarray:
-    """|S_l(x)|^2 / l at several sizes l, one vectorized cumulative pass."""
-    sizes_sorted = sorted(int(s) for s in sizes)
-    if not sizes_sorted:
+def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
+    """|S_l(x)|^2 / l at several sizes l, in caller order; O(log l) each.
+
+    S_l(x) is the block sum T_l of `_block_sums`.  x is a float or a
+    Fraction: a Fraction's doubling orbit is exact at every l, a float's only
+    for l < 2^53, so larger sizes with a float x raise ValueError.
+    """
+    caller_sizes = [int(s) for s in sizes]
+    if not caller_sizes:
         return np.zeros(0)
-    if sizes_sorted[0] < 1:
+    if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
-    l_max = sizes_sorted[-1]
-    vals = {}
-    total = 0.0 + 0.0j
-    pending = list(sizes_sorted)
-    for lo in range(0, l_max, chunk):
-        hi = min(lo + chunk, l_max)
-        j = np.arange(lo, hi, dtype=np.float64)
-        ph = sign_array(lo, hi) * np.exp(-2j * math.pi * x * j)
-        cs = np.cumsum(ph)
-        while pending and pending[0] <= hi:
-            s = pending.pop(0)
-            vals[s] = abs(total + cs[s - 1 - lo]) ** 2 / s
-        total += cs[-1]
-    return np.array([vals[int(s)] for s in sizes])
-
-
-def _dyadic_fracs(x, n: int) -> list:
-    """frac(2^j x) for j = 0..n-1; exact when x is a Fraction."""
-    out = []
-    if isinstance(x, Fraction):
-        cur = x - math.floor(x)
-        for _ in range(n):
-            out.append(cur)
-            cur = 2 * cur
-            if cur >= 1:
-                cur -= 1
-        return out
-    cur = math.fmod(float(x), 1.0)
-    if cur < 0:
-        cur += 1.0
-    for _ in range(n):
-        out.append(cur)
-        cur = math.fmod(2.0 * cur, 1.0)
+    _check_float_orbit(x, max(caller_sizes))
+    out = np.empty(len(caller_sizes))
+    for idx, l in enumerate(caller_sizes):
+        t, e = _block_sums(x, l)[1]
+        top = l.bit_length() - 1
+        try:  # |t|^2 2^{2e} / l with l = 2^top * (l / 2^top)
+            out[idx] = math.ldexp(abs(t) ** 2, 2 * e - top) / (l / (1 << top))
+        except OverflowError:
+            raise ValueError(f"|S_l|^2 / l at l = {l} exceeds the float range") from None
     return out
 
 
 def riesz_product(n: int, x) -> float:
     """2^{2n} prod_{j<n} sin^2(pi 2^j x); equals |S_{2^n}(x)|^2.
 
-    Accepts float or Fraction x; with a Fraction the dyadic orbit is exact,
-    so vanishing factors (dyadic x) give an exact zero.
+    Accepts float or Fraction x; the dyadic orbit is exact for both, so
+    vanishing factors (dyadic x) give an exact zero.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     value = 1.0
-    for frac in _dyadic_fracs(x, n):
-        s = math.sin(math.pi * float(frac))
-        if isinstance(frac, Fraction) and frac == 0:
+    nums, den = _dyadic_fracs(x, n)
+    for r in nums:
+        if r == 0:
             return 0.0
+        s = math.sin(math.pi * (r / den))
         value *= 4.0 * s * s
     return value
 
@@ -237,27 +358,29 @@ def scaling_exponent_alpha(l: int, x) -> float:
     """Finite-size exponent alpha_l(x) defined by l^{alpha_l} = |S_l(x)|^2/l.
 
     Returns -inf (the explicit extinction marker) when the sum vanishes.
-    Powers of two go through the product form in log space, so l may be
-    astronomically large; other l are evaluated directly.
+    Powers of two go through the product form in log space, other l through
+    the block sums of `_block_sums`; both cost O(log l) and never overflow,
+    so l may be astronomically large when x is a Fraction (exact orbit).  A
+    float x is limited to l < 2^53 (ValueError beyond).
     """
     if l < 2:
         raise ValueError("l must be >= 2")
+    _check_float_orbit(x, l)
     n = l.bit_length() - 1
     if l == 1 << n:
         log_sq = 2.0 * n * math.log(2.0)  # log 2^{2n}
-        for frac in _dyadic_fracs(x, n):
-            s = abs(math.sin(math.pi * float(frac)))
+        nums, den = _dyadic_fracs(x, n)
+        for r in nums:
+            s = abs(math.sin(math.pi * (r / den)))
             if s == 0.0:
                 return -math.inf
             log_sq += 2.0 * math.log(s)
         return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
-    if l > 4096:
-        sq = float(eta_sums_at_sizes(float(x), [l])[0]) * l
-    else:
-        sq = abs(eta_sum(l, float(x))) ** 2
-    if sq == 0.0:
+    t, e = _block_sums(x, l)[1]
+    if t == 0:
         return -math.inf
-    return math.log(sq / l) / math.log(l)
+    log_sq = 2.0 * (math.log(abs(t)) + e * math.log(2.0))
+    return (log_sq - math.log(l)) / math.log(l)
 
 
 # ---------------------------------------------------------------------------

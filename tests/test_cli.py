@@ -94,6 +94,17 @@ class TestDiffract:
         header, rows = parse_csv(out)
         assert rows == []
 
+    def test_sizes_from_2_53_are_usage_errors(self, capsys):
+        # densities take k as a float, exact only below 2^53: exit 1, no traceback
+        for grid in ("", "1/3"):
+            code, out, err = run_cli(
+                ["diffract", "--grid", grid, "--sizes", f"64,{1 << 53}"], capsys
+            )
+            assert code == 1 and out == ""
+            assert "2^53" in err
+        code, _, _ = run_cli(["diffract", "--grid", "1/3", "--sizes", str((1 << 53) - 1)], capsys)
+        assert code == 0
+
     def test_parallel_jobs_match_serial(self, capsys):
         base = ["diffract", "--grid", "0,1/3,1/5,1/7", "--sizes", "128,512"]
         _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tmqc import diffract
@@ -76,6 +78,115 @@ class TestApproximantDensity:
         sizes = [64, 8, 512]
         vec = density_at_sizes(0.0, sizes, params21)
         assert list(vec) == [pytest.approx(float(s)) for s in sizes]
+
+
+# ---------------------------------------------------------------------------
+# block route (O(log l)) against the scan and the Kahan oracle
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53
+
+
+def _tiles():
+    """Rational tiles 0 < b < a."""
+    return st.builds(
+        lambda a, ratio: QuasicrystalParams(a, a * ratio),
+        st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16),
+        st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64),
+    )
+
+
+_FREQS = st.fractions(min_value=-2, max_value=2, max_denominator=97)
+
+
+def _sum_tol(l: int, k: float, params: QuasicrystalParams, s_abs: float) -> float:
+    """Bound on the float error of |sum_{n<=l} e^{-ik f(n)}| for a scan:
+    a random walk of l rounded terms plus the coherent shift from rounding k,
+    with phi the largest phase."""
+    phi = abs(k) * float(params.a) * l
+    return 4 * _U * math.sqrt(l) * (l + phi) + 8 * _U * phi * s_abs + 1e-12
+
+
+def _assert_same_sum(l, k, params, nu, nu_ref):
+    s, s_ref = math.sqrt(nu * l), math.sqrt(nu_ref * l)
+    assert abs(s - s_ref) <= _sum_tol(l, k, params, s_ref)
+
+
+class TestBlockRoute:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(params=_tiles(), q=_FREQS, l=st.integers(1, 1 << 12))
+    def test_matches_kahan_oracle(self, params, q, l):
+        k = params.wave_vector(q)
+        (nu,) = density_at_sizes(k, [l], params)
+        _assert_same_sum(l, k, params, nu, approximant_density(l, k, params))
+
+    @settings(deadline=None, derandomize=True, max_examples=15)
+    @given(params=_tiles(), q=_FREQS, l=st.integers(1, 1 << 22))
+    def test_matches_weighted_scan(self, params, q, l):
+        k = params.wave_vector(q)
+        (nu,) = density_at_sizes(k, [l], params)
+        (nu_scan,) = density_at_sizes(k, [l], params, weights=np.ones(l))
+        _assert_same_sum(l, k, params, nu, nu_scan)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(x=_FREQS, l=st.integers(1, 1 << 12))
+    def test_eta_sums_match_direct(self, x, l):
+        direct = abs(eta_sum(l, float(x)))
+        for freq in (x, float(x)):
+            (nu,) = eta_sums_at_sizes(freq, [l])
+            assert abs(math.sqrt(nu * l) - direct) <= 1e-12 * l * (1 + abs(float(x)) * l)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 8, 9, 31, 32, 33])
+    def test_small_odd_and_even_sizes(self, params21, l):
+        for k in (0.0, 0.7318, -2.2, params21.wave_vector(Fraction(5, 12))):
+            (nu,) = density_at_sizes(k, [l], params21)
+            assert nu == pytest.approx(approximant_density(l, k, params21), rel=1e-12, abs=1e-14)
+
+    def test_repeated_sizes_in_caller_order(self, params21):
+        k = params21.wave_vector(Fraction(3, 17))
+        sizes = [33, 4, 33, 1, 1000, 4]
+        vec = density_at_sizes(k, sizes, params21)
+        assert list(vec) == [density_at_sizes(k, [s], params21)[0] for s in sizes]
+        assert vec[0] == vec[2] and vec[1] == vec[5]
+        etas = eta_sums_at_sizes(Fraction(3, 17), sizes)
+        assert etas[0] == etas[2]
+        assert list(etas) == [eta_sums_at_sizes(Fraction(3, 17), [s])[0] for s in sizes]
+
+    def test_integer_frequency_is_geometric_sum(self):
+        # z = 1: G_L = L exactly, and T_L = sum_{m<L} eta_m
+        for x in (0, 3, Fraction(-2), 1.0):
+            for big_l in (1, 2, 3, 7, 8, 1000, (1 << 40) + 5):
+                g, t, z_l = diffract._block_sums(x, big_l)
+                assert diffract._unscale(g) == big_l
+                assert z_l == 1
+                if big_l <= 1000:
+                    assert diffract._unscale(t) == sum(tm_sign(m) for m in range(big_l))
+
+    def test_half_integer_q_is_bragg(self):
+        # q in Z/2 puts z = e^{-4 pi i q} at 1: nu_l / l -> |1 + e^{-ikc} cos kd|^2 / 4
+        for params in (QuasicrystalParams(2, 1), QuasicrystalParams(3, 1), QuasicrystalParams(5, 2)):
+            for q in (Fraction(1, 2), Fraction(1), Fraction(-3, 2)):
+                k = params.wave_vector(q)
+                c, d = float(params.a + params.b) / 2, float(params.a - params.b) / 2
+                amp = abs(1 + cmath.exp(-1j * k * c) * math.cos(k * d)) ** 2 / 4
+                l = 1 << 20
+                (nu,) = density_at_sizes(k, [l], params)
+                assert nu / l == pytest.approx(amp, abs=1e-9)
+                for small in (1, 2, 7, 64, 1001):
+                    (nu,) = density_at_sizes(k, [small], params)
+                    assert nu == pytest.approx(
+                        approximant_density(small, k, params), rel=1e-12, abs=1e-12
+                    )
+
+    def test_quarter_is_exactly_extinct_at_dyadic_sizes(self):
+        # q = 1/4: z = -1, so G_{2^j} = 0 (j >= 1) and T_{2^j} = 0 (j >= 2)
+        for params in (QuasicrystalParams(2, 1), QuasicrystalParams(3, 1), QuasicrystalParams(5, 2)):
+            k = params.wave_vector(Fraction(1, 4))
+            assert list(density_at_sizes(k, [8, 16, 1024], params)) == [0.0] * 3
+            dyadic = [1 << j for j in range(3, 50)]
+            assert list(density_at_sizes(k, dyadic, params)) == [0.0] * len(dyadic)
+            odd = [(1 << j) + 1 for j in range(3, 50)]
+            assert all(nu > 0 for nu in density_at_sizes(k, odd, params))
 
 
 class TestRieszProduct:
@@ -209,6 +320,48 @@ class TestScalingExponent:
         vec = eta_sums_at_sizes(x, sizes)
         for s, v in zip(sizes, vec):
             assert v == pytest.approx(abs(eta_sum(s, x)) ** 2 / s, rel=1e-10)
+
+    def test_non_dyadic_matches_direct(self):
+        for x in (0.2871, Fraction(5, 17), Fraction(1, 3)):
+            for l in (3, 100, 1000, 4097):
+                direct = math.log(abs(eta_sum(l, float(x))) ** 2 / l) / math.log(l)
+                assert scaling_exponent_alpha(l, x) == pytest.approx(direct, abs=1e-9)
+
+    def test_huge_non_dyadic_size_does_not_overflow(self):
+        # |S_{2^n}(1/3)|^2 = 3^n dominates the three trailing terms, so the
+        # exponent at 2^4096 + 3 is the product-route exponent log2(3) - 1
+        n = 4096
+        _, (t, e), _ = diffract._block_sums(Fraction(1, 3), (1 << n) + 3)
+        assert 0.5 <= abs(t) < 1 and e == math.ceil(n * math.log2(3) / 2)
+        alpha = scaling_exponent_alpha((1 << n) + 3, Fraction(1, 3))
+        assert alpha == pytest.approx(scaling_exponent_alpha(1 << n, Fraction(1, 3)), abs=1e-9)
+        assert alpha == pytest.approx(math.log2(3) - 1, abs=1e-9)
+        # the density itself can still leave the float range; that is refused by l
+        with pytest.raises(ValueError, match=str((1 << 2000) + 1)):
+            eta_sums_at_sizes(Fraction(1, 3), [(1 << 2000) + 1])
+
+
+class TestFloatFrequencyLimit:
+    def test_float_refused_and_fraction_exact_from_2_53(self, params21):
+        """A float's doubling orbit reaches 0 after its 53 bits (0.3 gave
+        -inf at l = 2^60), so float frequencies are refused from l = 2^53 on,
+        while a Fraction keeps the exact orbit."""
+        for l in (1 << 53, (1 << 53) + 1, 1 << 60):
+            with pytest.raises(ValueError, match="pass a Fraction"):
+                scaling_exponent_alpha(l, 0.3)
+        with pytest.raises(ValueError, match="pass a Fraction"):
+            eta_sums_at_sizes(0.3, [16, 1 << 53])
+        k = params21.wave_vector(Fraction(1, 3))
+        with pytest.raises(ValueError, match="pass a Fraction"):
+            density_at_sizes(k, [16, 1 << 53], params21)
+        # just below the limit a float is still accepted
+        assert math.isfinite(scaling_exponent_alpha((1 << 53) - 1, 0.3))
+        assert math.isfinite(eta_sums_at_sizes(0.3, [(1 << 53) - 1])[0])
+        assert math.isfinite(density_at_sizes(k, [(1 << 53) - 1], params21)[0])
+        for l in (1 << 60, (1 << 60) + 1, 1 << 100):
+            assert 0.16 < scaling_exponent_alpha(l, Fraction(3, 10)) < 0.18
+        (value,) = eta_sums_at_sizes(Fraction(3, 10), [(1 << 60) + 1])
+        assert value > 0 and math.isfinite(value)
 
 
 class TestFittedAlpha:
