@@ -363,8 +363,14 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _apply_config(args: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Fill non-overridden flags from the JSON config, if any."""
+def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list) -> argparse.Namespace:
+    """Fill non-overridden flags from the JSON config, if any.
+
+    Config values go back through the parser as flag tokens, so each one
+    meets its flag's own type and choices; a value that is not a string or
+    a number is refused.  Keys that name no flag of the subcommand are
+    ignored, so one config can serve several subcommands.
+    """
     if not args.config:
         return args
     try:
@@ -376,13 +382,23 @@ def _apply_config(args: argparse.Namespace, argv: list) -> argparse.Namespace:
         raise UsageError("config must be a JSON object of flag values")
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
+    extra = []
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "config") or attr in given:
+        if attr in ("command", "config") or attr in given or not hasattr(args, attr):
             continue
-        if hasattr(args, attr):
-            setattr(args, attr, value)
-    return args
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(
+                f"config value for {key!r} must be a string or a number, "
+                f"not {json.dumps(value)}"
+            )
+        extra.append(f"--{attr}={value}")
+    if not extra:
+        return args
+    try:
+        return parser.parse_args(argv + extra)
+    except UsageError as exc:
+        raise UsageError(f"config {args.config!r}: {exc}") from exc
 
 
 _HANDLERS = {
@@ -401,7 +417,7 @@ def main(argv: list | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         if hasattr(args, "a"):
             args.a = _parse_fraction(str(args.a))
             args.b = _parse_fraction(str(args.b))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -205,6 +206,8 @@ def _weighted_density_scan(k, sizes, params, weights, chunk) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 FLOAT_ORBIT_LIMIT = 1 << 53
+_SMALLEST_NORMAL = sys.float_info.min
+_LOG_PI = math.log(math.pi)
 
 
 def _dyadic_fracs(x, n: int) -> tuple:
@@ -372,8 +375,13 @@ def scaling_exponent_alpha(l: int, x) -> float:
         nums, den = _dyadic_fracs(x, n)
         for r in nums:
             s = abs(math.sin(math.pi * (r / den)))
-            if s == 0.0:
-                return -math.inf
+            if s < _SMALLEST_NORMAL:
+                if r == 0:
+                    return -math.inf
+                # r/den underflowed (or went subnormal); sin(pi x) = pi x
+                # to far below float precision there
+                log_sq += 2.0 * (_LOG_PI + math.log(abs(r)) - math.log(den))
+                continue
             log_sq += 2.0 * math.log(s)
         return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
     t, e = _block_sums(x, l)[1]

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "PrimeClass",
     "PrimeClassRecord",
@@ -122,7 +124,11 @@ def order_of_two(p: int) -> int:
 
 def classify_prime(p: int) -> PrimeClass:
     """Class of an odd prime from the order of 2."""
-    s = order_of_two(p)
+    return _class_of(p, order_of_two(p))
+
+
+def _class_of(p: int, s: int) -> PrimeClass:
+    """Class of an odd prime p with s = ord_2(p)."""
     if s == p - 1:
         return PrimeClass.P1
     if 2 * s == p - 1:
@@ -204,33 +210,77 @@ def quadratic_character(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+# terms per numpy pass of the character sum: the working set stays a few
+# hundred kB whatever p is
+_L_CHUNK = 1 << 14
+# a^2 for a <= (p-1)/2 must fit int64; the table then holds under 2 GiB
+_L_MAX_P = 1 << 32
+
+
+def _legendre_half_table(p: int) -> np.ndarray:
+    """chi_p(a) for a = 0..(p-1)/2 as int8, p prime = 1 (mod 4).
+
+    The squares a^2 mod p for a <= (p-1)/2 are the quadratic residues, each
+    hit once; chi_p(-1) = 1 lets r and p - r share the entry min(r, p - r).
+    """
+    half = (p - 1) // 2
+    chi = np.full(half + 1, -1, dtype=np.int8)
+    chi[0] = 0
+    for start in range(1, half + 1, _L_CHUNK):
+        a = np.arange(start, min(start + _L_CHUNK, half + 1), dtype=np.int64)
+        r = a * a % p
+        chi[np.minimum(r, p - r)] = 1
+    return chi
+
+
 def dirichlet_l_one(p: int) -> float:
     """L(1, chi_p) for prime p = 1 (mod 4), by the closed character sum
-    -(1/sqrt p) * sum_a chi_p(a) log sin(pi a / p).
+    -(2/sqrt p) * sum_{a <= (p-1)/2} chi_p(a) log sin(pi a / p).
 
+    The sum over the full range 0 < a < p halves because chi_p and the sine
+    are both symmetric under a -> p - a.  It runs in numpy passes of
+    `_L_CHUNK` terms whose dot products are added by `math.fsum`: O(p) time,
+    p/2 bytes for the character table and a bounded working set besides.
     The normalization is pinned by the h = 1 entries of the classical unit
     table (see tests); the log 2 part of log(2 sin) drops because the
     character sums to zero.
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError("dirichlet_l_one expects a prime p = 1 (mod 4)")
-    acc = 0.0
-    for a in range(1, p):
-        acc += quadratic_character(a, p) * math.log(math.sin(math.pi * a / p))
-    return -acc / math.sqrt(p)
+    if p >= _L_MAX_P:
+        raise ValueError(f"dirichlet_l_one supports p < 2^32, got p={p}")
+    chi = _legendre_half_table(p)
+    half = len(chi) - 1
+    parts = []
+    for start in range(1, half + 1, _L_CHUNK):
+        stop = min(start + _L_CHUNK, half + 1)
+        a = np.arange(start, stop, dtype=np.float64)
+        parts.append(float(np.dot(chi[start:stop], np.log(np.sin(a * (math.pi / p))))))
+    return -2.0 * math.fsum(parts) / math.sqrt(p)
 
 
-def class_number(p: int, tol: float = 1e-6) -> int:
-    """h = sqrt(p) L(1, chi_p) / (2 log eps), rounded; the pre-rounding value
-    must already be within tol of an integer or the computation is rejected."""
+def _class_invariants(p: int, tol: float = 1e-6) -> tuple:
+    """(eps, h) for a prime p = 1 (mod 4), from one unit and one L-value.
+    h = sqrt(p) L / (2 log eps) must lie within tol of an integer before
+    rounding (ClassNumberDriftError otherwise), and L must obey Hua's bound
+    L(1, chi_p) < log(p)/2 + 1 (ArithmeticError otherwise)."""
     eps = fundamental_unit(p)
-    raw = math.sqrt(p) * dirichlet_l_one(p) / (2.0 * eps.log_value())
+    l_value = dirichlet_l_one(p)
+    raw = math.sqrt(p) * l_value / (2.0 * eps.log_value())
     h = round(raw)
     if abs(raw - h) > tol or h < 1:
         raise ClassNumberDriftError(
             f"class number for p={p} drifted from an integer: {raw!r}"
         )
-    return h
+    if not l_value < math.log(p) / 2.0 + 1.0:
+        raise ArithmeticError(f"Hua bound violated at p={p}: L={l_value}")
+    return eps, h
+
+
+def class_number(p: int, tol: float = 1e-6) -> int:
+    """h = sqrt(p) L(1, chi_p) / (2 log eps), rounded; the pre-rounding value
+    must already be within tol of an integer or the computation is rejected."""
+    return _class_invariants(p, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -248,43 +298,41 @@ class PrimeClassRecord:
     regulator: float | None = None
 
 
-def beta_for_class(rec: PrimeClassRecord) -> float:
-    """The growth exponent by the closed per-class formula; P21 additionally
-    checks Hua's bound L(1, chi_p) < log(p)/2 + 1."""
-    p = rec.p
-    if rec.cls in (PrimeClass.P1, PrimeClass.P23):
+def _closed_beta(p: int, cls: PrimeClass, h: int | None = None,
+                 eps: FundamentalUnit | None = None) -> float:
+    if cls in (PrimeClass.P1, PrimeClass.P23):
         return math.log(p) / ((p - 1) * _LOG2)
-    if rec.cls is PrimeClass.P21:
-        if rec.h is None or rec.epsilon is None:
+    if cls is PrimeClass.P21:
+        if h is None or eps is None:
             raise ValueError("P21 record must carry h and the fundamental unit")
-        l_value = dirichlet_l_one(p)
-        if not l_value < math.log(p) / 2.0 + 1.0:
-            raise ArithmeticError(f"Hua bound violated at p={p}: L={l_value}")
-        return (math.log(p) + 2.0 * rec.h * rec.epsilon.log_value()) / ((p - 1) * _LOG2)
+        return (math.log(p) + 2.0 * h * eps.log_value()) / ((p - 1) * _LOG2)
     raise ValueError(
-        f"no closed exponent formula for class {rec.cls.value}; "
+        f"no closed exponent formula for class {cls.value}; "
         "use the transfer-matrix spectrum instead"
     )
+
+
+def beta_for_class(rec: PrimeClassRecord) -> float:
+    """The growth exponent by the closed per-class formula; for P21 it is
+    (log p + 2 h log eps) / ((p-1) log 2) from the record's h and unit
+    (`prime_record` has checked Hua's bound on the L-value behind h)."""
+    return _closed_beta(rec.p, rec.cls, rec.h, rec.epsilon)
 
 
 def prime_record(p: int) -> PrimeClassRecord:
     """Full record: class, exponent and (for P21) field invariants."""
     s = order_of_two(p)
-    cls = classify_prime(p)
+    cls = _class_of(p, s)
     if cls is PrimeClass.P1:
-        rec = PrimeClassRecord(p, s, cls, None, float(p), 0.0)
-        return PrimeClassRecord(p, s, cls, beta_for_class(rec), float(p), 0.0)
+        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls), float(p), 0.0)
     if cls is PrimeClass.P23:
-        rec = PrimeClassRecord(p, s, cls, None, math.sqrt(p), math.sqrt(p))
-        return PrimeClassRecord(p, s, cls, beta_for_class(rec), math.sqrt(p), math.sqrt(p))
+        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls), math.sqrt(p), math.sqrt(p))
     if cls is PrimeClass.P21:
-        eps = fundamental_unit(p)
-        h = class_number(p)
+        eps, h = _class_invariants(p)
         reg = eps.log_value()
         lam1 = math.exp(h * reg) * math.sqrt(p)
         lam2 = math.exp(-h * reg) * math.sqrt(p)
-        rec = PrimeClassRecord(p, s, cls, None, lam1, lam2, h, eps, reg)
-        return PrimeClassRecord(p, s, cls, beta_for_class(rec), lam1, lam2, h, eps, reg)
+        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls, h, eps), lam1, lam2, h, eps, reg)
     return PrimeClassRecord(p, s, cls, None, None, None)
 
 

@@ -123,7 +123,7 @@ class RarefiedVector:
         total = sum(self.entries)
         expected = 0 if self.n % 2 == 0 else tm_sign(self.n - 1)
         if total != expected:
-            raise AssertionError("rarefied column sum violates the prefix-sum identity")
+            raise ArithmeticError("rarefied column sum violates the prefix-sum identity")
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
@@ -285,7 +285,7 @@ def transfer_matrix(p: int, verify_up_to: int = 50) -> TransferMatrix:
     mat = TransferMatrix(p, s, rows, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
     for n in range(1, verify_up_to + 1):
         if mat.apply(_svec(p, n)) != _svec(p, n << s):
-            raise AssertionError(f"transfer recursion failed at p={p}, n={n}")
+            raise ArithmeticError(f"transfer recursion failed at p={p}, n={n}")
     return mat
 
 

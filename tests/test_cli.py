@@ -241,6 +241,41 @@ class TestConfigFile:
         code, _, err = run_cli(["--config", str(conf), "sequence"], capsys)
         assert code == 1
 
+    def _run_with_config(self, capsys, tmp_path, conf, argv):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(conf))
+        return run_cli(["--config", str(path)] + argv, capsys)
+
+    def test_number_for_text_flag_goes_through_the_parser(self, capsys, tmp_path):
+        # {"sizes": 5} used to reach the size parser as an int (AttributeError)
+        code, out, _ = self._run_with_config(
+            capsys, tmp_path, {"sizes": 5}, ["diffract", "--grid", "1/3"])
+        assert code == 0
+        assert out == run_cli(["diffract", "--grid", "1/3", "--sizes", "5"], capsys)[1]
+
+    def test_text_for_int_flag_is_typed_by_the_parser(self, capsys, tmp_path):
+        # {"jobs": "2"} used to reach the pool test as a str (TypeError)
+        argv = ["diffract", "--grid", "1/3,1/5", "--sizes", "64"]
+        code, out, _ = self._run_with_config(capsys, tmp_path, {"jobs": "2"}, argv)
+        assert code == 0
+        assert out == run_cli(argv + ["--jobs", "1"], capsys)[1]
+        code, out, err = self._run_with_config(capsys, tmp_path, {"jobs": "two"}, argv)
+        assert (code, out) == (1, "")
+        assert "--jobs" in err and "invalid int value" in err
+
+    def test_choices_apply_to_config_values(self, capsys, tmp_path):
+        code, out, err = self._run_with_config(
+            capsys, tmp_path, {"format": "xml"}, ["sequence"])
+        assert (code, out) == (1, "")
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize("value", [[1024, 4096], None, True, {"l": 5}])
+    def test_non_scalar_config_value_is_usage_error(self, capsys, tmp_path, value):
+        code, out, err = self._run_with_config(
+            capsys, tmp_path, {"sizes": value}, ["diffract", "--grid", "1/3"])
+        assert (code, out) == (1, "")
+        assert "'sizes'" in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_numerical_flag_failure_is_exit_2(self, capsys, monkeypatch):
@@ -253,6 +288,16 @@ class TestExitCodes:
         code, _, err = run_cli(["classify-primes", "--limit", "20"], capsys)
         assert code == 2
         assert "failed" in err
+
+    def test_violated_identity_is_exit_2(self, capsys, monkeypatch):
+        from tmqc import rareclass
+
+        real = rareclass._svec
+        monkeypatch.setattr(rareclass, "_svec",
+                            lambda p, n: [v + (n == 3) for v in real(p, n)])
+        code, out, err = run_cli(["rarefy", "--p", "5", "--limit", "4"], capsys)
+        assert (code, out) == (2, "")
+        assert "prefix-sum identity" in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)

@@ -340,6 +340,27 @@ class TestScalingExponent:
         with pytest.raises(ValueError, match=str((1 << 2000) + 1)):
             eta_sums_at_sizes(Fraction(1, 3), [(1 << 2000) + 1])
 
+    def test_dyadic_orbit_below_float_range_is_not_extinct(self):
+        # every orbit point 12345 * 2^(j - 4160), j < 4096, is below 2^-50
+        # and its float quotient underflows to 0 for j <= 3071; the sum
+        # is nonzero, sin(pi x) = pi x there, and the exponent is the closed
+        # form of the product
+        n = 4096
+        x = Fraction(12345, 2**4160)
+        log_sq = 2 * n * math.log(2) + 2 * sum(
+            math.log(math.pi) + math.log(12345) + (j - 4160) * math.log(2)
+            for j in range(n)
+        )
+        expected = (log_sq - n * math.log(2)) / (n * math.log(2))
+        assert scaling_exponent_alpha(1 << n, x) == pytest.approx(expected, rel=1e-12)
+        # the smallest subnormal float, 2^-1074, takes the same branch
+        log_sq = 4 * math.log(2) + 2 * sum(
+            math.log(math.pi) + (j - 1074) * math.log(2) for j in range(2))
+        assert scaling_exponent_alpha(4, 5e-324) == pytest.approx(
+            (log_sq - 2 * math.log(2)) / (2 * math.log(2)), rel=1e-12)
+        # an orbit that reaches 0 exactly is still extinct
+        assert scaling_exponent_alpha(1 << 12, Fraction(3, 2**10)) == -math.inf
+
 
 class TestFloatFrequencyLimit:
     def test_float_refused_and_fraction_exact_from_2_53(self, params21):

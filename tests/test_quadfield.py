@@ -151,6 +151,34 @@ class TestLFunctionAndClassNumber:
                 continue
             class_number(p)  # raises ClassNumberDriftError on failure
 
+    def test_matches_euler_criterion_sum(self):
+        # oracle: the full-range sum with chi_p from Euler's criterion, one
+        # pow per term
+        for p in primes_up_to(2000):
+            if p % 4 != 1:
+                continue
+            oracle = -math.fsum(
+                quadratic_character(a, p) * math.log(math.sin(math.pi * a / p))
+                for a in range(1, p)
+            ) / math.sqrt(p)
+            assert dirichlet_l_one(p) == pytest.approx(oracle, rel=1e-12, abs=0), p
+
+    def test_gate_holds_up_to_a_million(self):
+        # the near-integer gate and Hua's bound for every P21 prime in
+        # [980000, 10^6); the rounding margin there is about 2e-14
+        checked = 0
+        for p in primes_up_to(10**6 - 1):
+            if p < 980_000 or classify_prime(p) is not PrimeClass.P21:
+                continue
+            assert class_number(p, tol=1e-9) >= 1
+            checked += 1
+        assert checked == 126
+
+    def test_l_value_refuses_p_beyond_int64_squares(self):
+        # 4294967357 is the first prime = 1 (mod 4) above 2^32
+        with pytest.raises(ValueError, match="2\\^32"):
+            dirichlet_l_one(4294967357)
+
     def test_hua_bound(self):
         for p in primes_up_to(500):
             if p == 2 or p % 4 != 1 or not is_prime(p):

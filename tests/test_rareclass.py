@@ -124,6 +124,18 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             transfer_matrix(9)
 
+    def test_violated_recursion_is_arithmetic_error(self, monkeypatch):
+        real = rareclass._svec
+        # a constant shift would pass: the rows of M sum to zero
+        monkeypatch.setattr(rareclass, "_svec",
+                            lambda p, n: [real(p, n)[0] + (n == 6)] + real(p, n)[1:])
+        with pytest.raises(ArithmeticError, match="p=3, n=6"):
+            transfer_matrix(3, verify_up_to=8)
+
+    def test_violated_column_sum_is_arithmetic_error(self):
+        with pytest.raises(ArithmeticError, match="prefix-sum identity"):
+            rareclass.RarefiedVector(3, 1, (0, 0, 0))
+
 
 class TestSpectrumOfM:
     def test_p3_single_coset(self):
