@@ -45,6 +45,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _GivenParser(_Parser):
+    """Parses only what the command line states: no flag has a default or
+    is required, so the namespace holds exactly the flags given, with
+    argparse's prefix abbreviations resolved.  `dests` names the flags
+    added (not --help)."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        if kwargs.get("default") is argparse.SUPPRESS:  # --help
+            return super().add_argument(*args, **kwargs)
+        kwargs.update(default=argparse.SUPPRESS, required=False)
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -220,13 +239,12 @@ def _cmd_spectrum(args) -> list:
 
 
 def _cmd_profile(args) -> list:
-    if args.p == 2 or not quadfield.is_prime(args.p):
-        raise UsageError("profile requires an odd prime p")
-    if not 0 <= args.j < args.p:
-        raise UsageError("residue j must lie in [0, p)")
-    prof = rareclass.fractal_profile(
-        args.p, args.j, args.horizon, resolution=args.resolution
-    )
+    try:
+        prof = rareclass.fractal_profile(
+            args.p, args.j, args.horizon, resolution=args.resolution
+        )
+    except ValueError as exc:  # p, residue, horizon or resolution out of range
+        raise UsageError(str(exc)) from exc
     records = [
         {
             "x": float(x),
@@ -247,17 +265,17 @@ def _cmd_profile(args) -> list:
     return records
 
 
+def _rarefy_columns(p: int) -> list:
+    return ["n"] + [f"s{i}" for i in range(p)]
+
+
 def _cmd_rarefy(args) -> list:
-    if args.p < 3 or args.p % 2 == 0:
-        raise UsageError("p must be an odd integer >= 3")
-    records = []
-    for n in range(0, args.limit + 1):
-        vec = rareclass.rarefied_vector(args.p, n)
-        rec = {"n": n}
-        for i in range(args.p):
-            rec[f"s{i}"] = vec[i]
-        records.append(rec)
-    return records
+    try:
+        rows = rareclass.rarefied_rows(args.p, args.limit)
+        keys = _rarefy_columns(args.p)
+        return [dict(zip(keys, (n, *row))) for n, row in enumerate(rows)]
+    except ValueError as exc:  # p or limit out of range
+        raise UsageError(str(exc)) from exc
 
 
 _WEIGHT_FAMILIES = ("ones", "zero", "squares", "random")
@@ -309,11 +327,12 @@ _COLUMNS = {
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="tmqc", description=__doc__,
-                  formatter_class=argparse.RawDescriptionHelpFormatter)
+def _build_parser(cls: type = _Parser) -> _Parser:
+    top = cls(prog="tmqc", description=__doc__,
+              formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--config", help="JSON file mirroring flags; flags override")
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices
 
     def common(p):
         p.add_argument("--a", default="2", help="tile length a as num/den")
@@ -363,29 +382,40 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Fill non-overridden flags from the JSON config, if any.
+def _config_path(argv: list) -> str | None:
+    """The --config value, read without building the subcommands' parsers
+    (which costs milliseconds); the full parse checks its placement."""
+    top = _Parser(add_help=False)
+    top.add_argument("--config")
+    return top.parse_known_args(argv)[0].config
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The command line, with the JSON config (if any) filling the flags it
+    does not give, required flags included.
 
     Config values go back through the parser as flag tokens, so each one
     meets its flag's own type and choices; a value that is not a string or
     a number is refused.  Keys that name no flag of the subcommand are
     ignored, so one config can serve several subcommands.
     """
-    if not args.config:
-        return args
+    config = _config_path(argv)
+    if not config:
+        return _build_parser().parse_args(argv)
+    given_parser = _build_parser(_GivenParser)
+    given = given_parser.parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
+        raise UsageError(f"cannot read config {config!r}: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError("config must be a JSON object of flag values")
-    given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-             for tok in argv if tok.startswith("--")}
+    flags = given_parser.commands[given.command].dests
     extra = []
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "config") or attr in given or not hasattr(args, attr):
+        if attr not in flags or hasattr(given, attr):
             continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(
@@ -393,12 +423,10 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list) -> argp
                 f"not {json.dumps(value)}"
             )
         extra.append(f"--{attr}={value}")
-    if not extra:
-        return args
     try:
-        return parser.parse_args(argv + extra)
+        return _build_parser().parse_args(argv + extra)
     except UsageError as exc:
-        raise UsageError(f"config {args.config!r}: {exc}") from exc
+        raise UsageError(f"config {config!r}: {exc}") from exc
 
 
 _HANDLERS = {
@@ -414,10 +442,8 @@ _HANDLERS = {
 
 def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, args, argv)
+        args = _parse_args(argv)
         if hasattr(args, "a"):
             args.a = _parse_fraction(str(args.a))
             args.b = _parse_fraction(str(args.b))
@@ -425,7 +451,7 @@ def main(argv: list | None = None) -> int:
                 raise UsageError("tile lengths must satisfy 0 < b < a")
         records = _HANDLERS[args.command](args)
         if args.command == "rarefy":
-            columns = ["n"] + [f"s{i}" for i in range(args.p)]
+            columns = _rarefy_columns(args.p)
         else:
             columns = _COLUMNS[args.command]
         _emit(records, columns, args.format, args.out)

@@ -15,7 +15,9 @@ eta_{2m} = eta_m, eta_{2m+1} = -eta_m:
     S_{p,i}(2m) = S_{p, i/2 mod p}(m) - S_{p, (i-1)/2 mod p}(m)
 
 with an additive boundary term eta_m at residue 2m mod p when the argument is
-odd.  The recursion is exact integer arithmetic in O(p log n).
+odd.  The recursion is exact integer arithmetic in O(p log n).  Profiles
+run it once over all their samples together (`_svec_batch`); a table of
+consecutive n is one running scan instead (`rarefied_rows`).
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .tmcore import sign_array, tm_sign
-from .quadfield import is_prime, order_of_two
+from .tmcore import sign_array, signs_of, tm_sign
+from .quadfield import PrimeClass, classify_prime, is_prime, order_of_two
 
 __all__ = [
     "RarefiedVector",
@@ -42,6 +44,7 @@ __all__ = [
     "rarefied_sum",
     "rarefied_sum_direct",
     "rarefied_vector",
+    "rarefied_rows",
     "rarefied_series",
     "transfer_matrix",
     "cosets_of_two",
@@ -92,6 +95,51 @@ def _svec(p: int, n: int) -> list:
     return s
 
 
+def _svec_batch(p: int, ns: Sequence[int]) -> np.ndarray:
+    """Exact S_{p,*}(n) for every n in `ns`, as an (len(ns), p) int64 array.
+
+    Runs `_svec`'s bit loop once over all samples together, aligned on the
+    top bit of the largest n: a leading zero bit maps S = 0 to 0 and keeps
+    the prefix at 0, so shorter n need no special case.  Entries are
+    bounded by n/p + 1, so the state fits int64 for 0 <= n < 2^63.  Every
+    row is checked against the column-sum identity.
+    """
+    n_arr = np.asarray(ns, dtype=np.int64)
+    if n_arr.size and int(n_arr.min()) < 0:
+        raise ValueError("n must be >= 0")
+    inv2 = pow(2, -1, p)
+    res = np.arange(p)
+    perm_num = res * inv2 % p
+    perm_den = (res - 1) * inv2 % p
+    rows = np.arange(n_arr.size)
+    s = np.zeros((n_arr.size, p), dtype=np.int64)
+    m_mod = np.zeros(n_arr.size, dtype=np.int64)    # prefix m modulo p
+    eta_m = np.ones(n_arr.size, dtype=np.int64)     # eta of the prefix
+    top = int(n_arr.max()).bit_length() if n_arr.size else 0
+    for b in range(top - 1, -1, -1):
+        s = s[:, perm_num] - s[:, perm_den]
+        m_mod = 2 * m_mod % p
+        bit = n_arr >> b & 1
+        s[rows, m_mod] += bit * eta_m
+        m_mod = (m_mod + bit) % p
+        eta_m -= 2 * bit * eta_m
+    _check_column_sums(n_arr, s)
+    return s
+
+
+def _check_column_sums(n_arr: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise ArithmeticError unless each row of `vecs` sums to the prefix
+    sum of the sign sequence at its n: 0 for even n, eta_{n-1} for odd n."""
+    odd = (n_arr & 1).astype(bool)
+    expected = np.zeros(n_arr.size, dtype=np.int64)
+    expected[odd] = signs_of(n_arr[odd] - 1)
+    bad = np.flatnonzero(vecs.sum(axis=1) != expected)
+    if bad.size:
+        raise ArithmeticError(
+            f"rarefied column sum violates the prefix-sum identity at n={int(n_arr[bad[0]])}"
+        )
+
+
 def rarefied_sum(p: int, i: int, n: int) -> int:
     """S_{p,i}(n), exact, via the digit recursion (O(p log n))."""
     _check_p(p)
@@ -134,6 +182,32 @@ def rarefied_vector(p: int, n: int) -> RarefiedVector:
     if n < 0:
         raise ValueError("n must be >= 0")
     return RarefiedVector(p, n, tuple(_svec(p, n)))
+
+
+def rarefied_rows(p: int, limit: int) -> Iterator[tuple]:
+    """The vectors S_{p,*}(n) for n = 0..limit in order, as tuples.
+
+    One running scan, S(n+1) = S(n) + eta_n e_{n mod p}, over
+    `sign_array(0, limit)`.  Each row is checked against the column-sum
+    identity, and the last one against the digit recursion, before it is
+    yielded.
+    """
+    _check_p(p)
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    eta = sign_array(0, limit).tolist()
+    s = [0] * p
+    for n in range(limit + 1):
+        if n:
+            s[(n - 1) % p] += eta[n - 1]
+        row = tuple(s)
+        if sum(row) != (eta[n - 1] if n % 2 else 0):
+            raise ArithmeticError(
+                f"rarefied column sum violates the prefix-sum identity at n={n}"
+            )
+        if n == limit and row != rarefied_vector(p, limit).entries:
+            raise ArithmeticError(f"rarefied scan disagrees with the digit recursion at n={n}")
+        yield row
 
 
 def rarefied_series(p: int, i: int, n_max: int, chunk: int = 1 << 22) -> np.ndarray:
@@ -305,15 +379,6 @@ def profile_period_factor(p: int) -> int:
     raise ValueError(f"no period factor in {{1,2,4}} for p={p}")
 
 
-def _class_label(p: int) -> str:
-    s = order_of_two(p)
-    if s == p - 1:
-        return "P1"
-    if 2 * s == p - 1:
-        return "P21" if p % 4 == 1 else "P23"
-    return "Other"
-
-
 def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:
     """(k, scale): apply the transfer matrix k times and divide by scale to
     evaluate the profile on the fiber of n.
@@ -327,16 +392,25 @@ def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:
                               damping of the bounded remainder.
     Other: no refinement (equal-modulus dominant cosets need not contract).
     """
-    label = _class_label(p)
-    if label == "P1":
+    cls = classify_prime(p)
+    if cls is PrimeClass.P1:
         return 1, exps.lambda1
-    if label == "P23":
+    if cls is PrimeClass.P23:
         return 4, exps.lambda1**4
-    if label == "P21":
+    if cls is PrimeClass.P21:
         ratio = exps.lambda2 / exps.lambda1
         k = max(1, min(80, math.ceil(math.log(1e-12) / math.log(ratio))))
         return k, exps.lambda1**k
     return 0, 1.0
+
+
+def _refined_row(mat: TransferMatrix, j: int, k: int) -> list:
+    """Row j of M^k as exact integers.  M is circulant, so M^k is too: with
+    c = M^k e_0, (M^k)[j][i] = c[(j - i) mod p]."""
+    c = [1] + [0] * (mat.p - 1)
+    for _ in range(k):
+        c = mat.apply(c)
+    return [c[(j - i) % mat.p] for i in range(mat.p)]
 
 
 @dataclass(frozen=True)
@@ -377,10 +451,13 @@ def profile_value(p: int, j: int, n: int, mat: TransferMatrix | None = None) -> 
     if n < 1:
         raise ValueError("n must be >= 1")
     k_apps, scale = _profile_refinement(p, mat.exponents)
-    refined = _svec(p, n)
-    for _ in range(k_apps):
-        refined = mat.apply(refined)
-    return refined[j] / (scale * float(n) ** mat.exponents.beta)
+    row = _refined_row(mat, j, k_apps)
+    refined = sum(c * v for c, v in zip(row, _svec(p, n)))
+    return refined / (scale * float(n) ** mat.exponents.beta)
+
+
+# the largest horizon: the batched recursion needs every sample n < 2^63
+MAX_PROFILE_HORIZON = 62
 
 
 def fractal_profile(
@@ -392,15 +469,22 @@ def fractal_profile(
     """Sample S_{p,j}(n)/n^beta on a log-equidistributed grid.
 
     n runs over floor(2^{(m + x0) r s}) for a lattice of x0 in [0,1), capped
-    at 2^horizon_exponent.  Applying M advances log n by s log 2 exactly, so
-    the refined evaluation stays on the fiber of x.
+    at 2^horizon_exponent <= 2^62.  Applying M advances log n by s log 2
+    exactly, so the refined evaluation stays on the fiber of x.  All samples
+    share one batched digit recursion (`_svec_batch`) and one exact row of
+    M^k (`_refined_row`).
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
-    if horizon_exponent < 1:
-        raise ValueError("horizon_exponent must be >= 1")
+    if not 1 <= horizon_exponent <= MAX_PROFILE_HORIZON:
+        raise ValueError(
+            f"horizon_exponent must lie in [1, {MAX_PROFILE_HORIZON}]: "
+            f"samples n up to 2^{MAX_PROFILE_HORIZON} keep the exact sums in int64"
+        )
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     mat = transfer_matrix(p, verify_up_to=0)
     exps = mat.exponents
     r = profile_period_factor(p)
@@ -408,9 +492,10 @@ def fractal_profile(
     beta = exps.beta
     period_bits = r * s
     k_apps, scale = _profile_refinement(p, exps)
+    row = _refined_row(mat, j, k_apps)
 
     n_cap = 1 << horizon_exponent
-    xs, vals, raws, ns = [], [], [], []
+    ns = []
     seen = set()
     for idx in range(resolution):
         x0 = idx / resolution
@@ -421,17 +506,14 @@ def fractal_profile(
             if n < 1 or n > n_cap or n in seen:
                 continue
             seen.add(n)
-            sv = _svec(p, n)
-            nb = float(n) ** beta
-            raw = sv[j] / nb
-            refined = sv
-            for _ in range(k_apps):
-                refined = mat.apply(refined)
-            val = refined[j] / (scale * nb)
-            xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
-            vals.append(val)
-            raws.append(raw)
             ns.append(n)
+    xs, vals, raws = [], [], []
+    # refined values in Python ints: c ~ lambda_1^k and S overflow int64
+    for n, sv in zip(ns, _svec_batch(p, ns).tolist()):
+        nb = float(n) ** beta
+        raws.append(sv[j] / nb)
+        vals.append(sum(c * v for c, v in zip(row, sv)) / (scale * nb))
+        xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
     order = np.argsort(np.array(xs))
     x_arr = np.array(xs)[order]
     v_arr = np.array(vals)[order]

@@ -29,6 +29,7 @@ __all__ = [
     "tm_sign",
     "tm_prefix",
     "sign_array",
+    "signs_of",
     "prefix_eta_sum",
     "point",
     "point_array",
@@ -89,14 +90,19 @@ _U64 = np.uint64
 
 
 def sign_array(start: int, stop: int) -> np.ndarray:
-    """Vectorized eta_m for m in [start, stop), as an int8 array.
+    """Vectorized eta_m for m in [start, stop), as an int8 array."""
+    if start < 0 or stop < start:
+        raise ValueError("need 0 <= start <= stop")
+    return signs_of(np.arange(start, stop, dtype=_U64))
+
+
+def signs_of(m: np.ndarray) -> np.ndarray:
+    """eta_m for every entry of a nonnegative integer array, as int8.
 
     Uses the hardware popcount (numpy >= 2) and falls back to SWAR bit
     counting otherwise.  Only the parity of the popcount matters.
     """
-    if start < 0 or stop < start:
-        raise ValueError("need 0 <= start <= stop")
-    m = np.arange(start, stop, dtype=_U64)
+    m = np.asarray(m).astype(_U64, copy=False)
     if hasattr(np, "bitwise_count"):
         pc = np.bitwise_count(m)
     else:  # pragma: no cover - numpy < 2
@@ -105,7 +111,7 @@ def sign_array(start: int, stop: int) -> np.ndarray:
         x = (x & _U64(0x3333333333333333)) + ((x >> _U64(2)) & _U64(0x3333333333333333))
         x = (x + (x >> _U64(4))) & _U64(0x0F0F0F0F0F0F0F0F)
         pc = (x * _U64(0x0101010101010101)) >> _U64(56)
-    out = np.ones(stop - start, dtype=np.int8)
+    out = np.ones(m.shape, dtype=np.int8)
     out[(pc & _U64(1)).astype(bool)] = -1
     return out
 

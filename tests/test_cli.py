@@ -188,6 +188,18 @@ class TestProfileCommand:
         for r in rows:
             assert r["psi"] == pytest.approx(profile_value(3, 0, r["n"]), abs=1e-12)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "0"], "horizon"),
+        (["--resolution", "0"], "resolution"),
+        (["--horizon", "63"], "2^62"),
+        (["--horizon", "64"], "2^62"),
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, flags, message):
+        code, out, err = run_cli(
+            ["profile", "--p", "3", "--resolution", "8"] + flags, capsys)
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
+
 
 class TestRarefy:
     def test_vectors(self, capsys):
@@ -200,6 +212,11 @@ class TestRarefy:
     def test_rejects_even_p(self, capsys):
         code, _, err = run_cli(["rarefy", "--p", "4"], capsys)
         assert code == 1
+
+    def test_rejects_negative_limit(self, capsys):
+        code, out, err = run_cli(["rarefy", "--p", "3", "--limit", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert "limit" in err
 
 
 class TestMarcinkiewiczCommand:
@@ -234,6 +251,20 @@ class TestConfigFile:
         )
         _, rows = parse_csv(out)
         assert rows[1]["f"] == "2"
+
+    def test_prefix_abbreviation_beats_config(self, capsys, tmp_path):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"limit": 5}))
+        code, out, _ = run_cli(["--config", str(conf), "sequence", "--lim", "1"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 2
+
+    def test_config_supplies_required_flag(self, capsys, tmp_path):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"grid": "1/3"}))
+        code, out, err = run_cli(["--config", str(conf), "diffract", "--sizes", "64"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["diffract", "--grid", "1/3", "--sizes", "64"], capsys)[1]
 
     def test_bad_config(self, capsys, tmp_path):
         conf = tmp_path / "broken.json"
@@ -295,9 +326,25 @@ class TestExitCodes:
         real = rareclass._svec
         monkeypatch.setattr(rareclass, "_svec",
                             lambda p, n: [v + (n == 3) for v in real(p, n)])
-        code, out, err = run_cli(["rarefy", "--p", "5", "--limit", "4"], capsys)
+        # rarefy asks the digit recursion for its last row only
+        code, out, err = run_cli(["rarefy", "--p", "5", "--limit", "3"], capsys)
         assert (code, out) == (2, "")
         assert "prefix-sum identity" in err
+
+    def test_corrupted_sign_in_rarefy_scan_is_exit_2(self, capsys, monkeypatch):
+        from tmqc import rareclass
+
+        real = rareclass.sign_array
+
+        def flipped(start, stop):
+            out = real(start, stop)
+            out[5] = -out[5]
+            return out
+
+        monkeypatch.setattr(rareclass, "sign_array", flipped)
+        code, out, err = run_cli(["rarefy", "--p", "5", "--limit", "12"], capsys)
+        assert (code, out) == (2, "")
+        assert "prefix-sum identity at n=6" in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)

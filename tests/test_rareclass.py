@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmqc import rareclass
+from tmqc import diffract, rareclass
 from tmqc.rareclass import (
     coquet_decompose,
     coset_eigenvalue,
@@ -19,6 +21,7 @@ from tmqc.rareclass import (
     profile_period_factor,
     rarefied_series,
     rarefied_sum,
+    rarefied_rows,
     rarefied_sum_direct,
     rarefied_vector,
     residue_exponent,
@@ -99,6 +102,144 @@ class TestRarefiedSums:
             rarefied_sum(4, 0, 10)
         with pytest.raises(ValueError):
             rarefied_sum(3, 3, 10)
+
+
+def _svec_by_inverse_dft(p, n):
+    """S_{p,i}(n) = (1/p) sum_t T_n(t/p) e^{2 pi i i t / p}, with the sign
+    sequence sums T_n from the O(log n) block sums; not rounded."""
+    sums = [diffract._unscale(diffract._block_sums(Fraction(t, p), n)[1]) for t in range(p)]
+    return [
+        sum(sums[t] * np.exp(2j * np.pi * i * t / p) for t in range(p)) / p
+        for i in range(p)
+    ]
+
+
+class TestBatchedRecursion:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(p=st.integers(1, 50).map(lambda k: 2 * k + 1),
+           ns=st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=6))
+    def test_batch_matches_scalar_recursion(self, p, ns):
+        batch = rareclass._svec_batch(p, ns)
+        assert batch.shape == (len(ns), p)
+        assert batch.tolist() == [rareclass._svec(p, n) for n in ns]
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(p=st.integers(1, 25).map(lambda k: 2 * k + 1),
+           ns=st.lists(st.integers(1, (1 << 40) - 1), min_size=1, max_size=3))
+    def test_batch_matches_inverse_dft(self, p, ns):
+        for n, row in zip(ns, rareclass._svec_batch(p, ns).tolist()):
+            approx = _svec_by_inverse_dft(p, n)
+            assert max(abs(a - v) for a, v in zip(approx, row)) < 0.25
+            assert [round(a.real) for a in approx] == row
+
+    def test_short_samples_and_zero(self):
+        ns = [0, 1, 2, 3, 1 << 40, 5]
+        assert rareclass._svec_batch(7, ns).tolist() == [rareclass._svec(7, n) for n in ns]
+
+    def test_corrupted_entry_fails_column_sum(self, monkeypatch):
+        real = rareclass._check_column_sums
+
+        def corrupted(n_arr, vecs):
+            vecs[1, 0] += 1
+            real(n_arr, vecs)
+
+        monkeypatch.setattr(rareclass, "_check_column_sums", corrupted)
+        with pytest.raises(ArithmeticError, match="prefix-sum identity at n=10"):
+            rareclass._svec_batch(5, [3, 10, 17])
+
+    def test_rejects_n_from_2_63(self):
+        with pytest.raises(OverflowError):
+            rareclass._svec_batch(3, [1 << 63])
+
+
+class TestRarefiedRows:
+    @pytest.mark.parametrize("p, limit", [(3, 200), (9, 150), (137, 400)])
+    def test_rows_match_direct_sums(self, p, limit):
+        rows = list(rarefied_rows(p, limit))
+        assert len(rows) == limit + 1
+        for n in range(limit + 1):
+            assert rows[n] == tuple(rarefied_sum_direct(p, i, n) for i in range(p))
+
+    def test_zero_limit(self):
+        assert list(rarefied_rows(5, 0)) == [(0,) * 5]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            list(rarefied_rows(4, 10))
+        with pytest.raises(ValueError):
+            list(rarefied_rows(3, -1))
+
+
+def _profile_by_apply(p, j, horizon_exponent, resolution):
+    """The per-sample loop that profiles used before the batch: the scalar
+    recursion and k applications of M on every sample."""
+    mat = transfer_matrix(p, verify_up_to=0)
+    beta = mat.exponents.beta
+    period_bits = profile_period_factor(p) * mat.s
+    k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
+    xs, vals, raws, ns = [], [], [], []
+    seen = set()
+    for idx in range(resolution):
+        x0 = idx / resolution
+        m = 0
+        while (m + x0) * period_bits <= horizon_exponent:
+            n = int(2.0 ** ((m + x0) * period_bits))
+            m += 1
+            if n < 1 or n > 1 << horizon_exponent or n in seen:
+                continue
+            seen.add(n)
+            sv = rareclass._svec(p, n)
+            nb = float(n) ** beta
+            refined = sv
+            for _ in range(k_apps):
+                refined = mat.apply(refined)
+            xs.append(math.log(n) / (period_bits * math.log(2.0)) % 1.0)
+            vals.append(refined[j] / (scale * nb))
+            raws.append(sv[j] / nb)
+            ns.append(n)
+    order = np.argsort(np.array(xs))
+    return (np.array(xs)[order], np.array(vals)[order],
+            np.array(raws, dtype=float)[order], np.array(ns, dtype=np.int64)[order])
+
+
+class TestProfileBitIdentity:
+    # P1, P23, P21, P21, Other
+    CASES = [(3, 24, 64), (7, 30, 64), (17, 48, 64), (41, 40, 16), (43, 30, 64)]
+
+    @pytest.mark.parametrize("p, horizon, resolution", CASES)
+    def test_fractal_profile_matches_apply_loop(self, p, horizon, resolution):
+        for j in (0, 1, p - 1):
+            prof = fractal_profile(p, j, horizon, resolution=resolution)
+            x, values, raw, n = _profile_by_apply(p, j, horizon, resolution)
+            assert np.array_equal(prof.x, x)
+            assert np.array_equal(prof.values, values)
+            assert np.array_equal(prof.raw, raw)
+            assert np.array_equal(prof.n_samples, n)
+
+    @pytest.mark.parametrize("p", [3, 7, 17, 41, 43])
+    def test_profile_value_matches_apply_loop(self, p):
+        mat = transfer_matrix(p, verify_up_to=0)
+        k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
+        for n in (1, 6, 1001, (1 << 45) + 3, (1 << 70) + 12345):
+            refined = rareclass._svec(p, n)
+            for _ in range(k_apps):
+                refined = mat.apply(refined)
+            for j in (0, p // 2, p - 1):
+                expected = refined[j] / (scale * float(n) ** mat.exponents.beta)
+                assert rareclass.profile_value(p, j, n, mat) == expected
+
+    def test_samples_never_apply_the_matrix(self, monkeypatch):
+        calls = []
+        real = rareclass.TransferMatrix.apply
+        monkeypatch.setattr(rareclass.TransferMatrix, "apply",
+                            lambda self, vec: calls.append(1) or real(self, vec))
+        prof = fractal_profile(17, 0, 40, resolution=64)
+        k_apps, _ = rareclass._profile_refinement(17, scaling_exponents(17))
+        assert len(calls) == k_apps < len(prof.n_samples)
+
+    def test_horizon_above_62_is_refused(self):
+        with pytest.raises(ValueError, match=r"2\^62"):
+            fractal_profile(3, 0, 63, resolution=4)
 
 
 class TestTransferMatrix:
