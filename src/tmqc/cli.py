@@ -26,7 +26,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+# unused here: kept because perfbench/spans.py wraps it and `_diffract_worker` by name
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from fractions import Fraction
 
 import numpy as np
@@ -109,16 +110,17 @@ def _fmt_density(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(records: list, columns: list, fmt: str, out_path: str | None) -> None:
-    """Write records (list of dicts) as CSV or JSON, deterministically."""
+def _emit(columns: list, rows: list, fmt: str, out_path: str | None) -> None:
+    """Write rows (sequences in column order) as CSV or JSON (one object
+    per row, keys in column order), deterministically."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for rec in records:
-            writer.writerow([rec[c] for c in columns])
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
+        records = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -128,61 +130,39 @@ def _emit(records: list, columns: list, fmt: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (columns, rows), a row being a tuple in column
+# order
 # ---------------------------------------------------------------------------
 
-def _cmd_sequence(args) -> list:
+def _cmd_sequence(args) -> tuple:
     params = tmcore.QuasicrystalParams(args.a, args.b)
-    records = []
-    for n in range(args.limit + 1):
-        records.append(
-            {
-                "n": n,
-                "digit_sum": tmcore.digit_sum(n),
-                "sign": tmcore.tm_sign(n),
-                "f": str(tmcore.point(n, params)),
-            }
-        )
-    return records
+    rows = [
+        (n, tmcore.digit_sum(n), tmcore.tm_sign(n), str(tmcore.point(n, params)))
+        for n in range(args.limit + 1)
+    ]
+    return ["n", "digit_sum", "sign", "f"], rows
 
 
-def _diffract_rows(a: str, b: str, q_str: str, sizes: list) -> list:
-    params = tmcore.QuasicrystalParams.from_strings(a, b)
-    q = Fraction(q_str)
+def _diffract_worker(params, q: Fraction, sizes: list) -> list:
+    """The rows of one wave vector: one block table for the densities and
+    one for the exponents."""
     k = params.wave_vector(q)
-    rows = []
     dens = diffract.density_at_sizes(k, sizes, params)
-    for l, nu in zip(sizes, dens):
-        al = diffract.scaling_exponent_alpha(l, q) if l >= 2 else None
-        rows.append(
-            {
-                "q": q_str,
-                "k": k,
-                "l": l,
-                "density": _fmt_density(float(nu)),
-                "alpha_l": None if al is None or math.isinf(al) else al,
-            }
-        )
-    return rows
+    alphas = diffract.scaling_exponents_at_sizes(q, [max(l, 2) for l in sizes])
+    return [
+        (str(q), k, l, _fmt_density(float(nu)), None if l < 2 or math.isinf(al) else al)
+        for l, nu, al in zip(sizes, dens, alphas)
+    ]
 
 
-def _diffract_worker(task):
-    return _diffract_rows(*task)
-
-
-def _cmd_diffract(args) -> list:
+def _cmd_diffract(args) -> tuple:
+    """All wave vectors in this process; `--jobs` is accepted and ignored,
+    since a q costs O(log l) per size and a pool costs more than it saves."""
+    params = tmcore.QuasicrystalParams(args.a, args.b)
     grid = _parse_grid(args.grid)
     sizes = _parse_sizes(args.sizes)
-    tasks = [(str(args.a), str(args.b), str(q), sizes) for q in grid]
-    records: list = []
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for rows in pool.map(_diffract_worker, tasks):
-                records.extend(rows)
-    else:
-        for task in tasks:
-            records.extend(_diffract_worker(task))
-    return records
+    rows = [row for q in grid for row in _diffract_worker(params, q, sizes)]
+    return ["q", "k", "l", "density", "alpha_l"], rows
 
 
 def _regime_name(beta: float) -> str:
@@ -192,90 +172,66 @@ def _regime_name(beta: float) -> str:
     return spectrum.growth_regime(alpha).value
 
 
-def _cmd_classify_primes(args) -> list:
-    records = []
+def _cmd_classify_primes(args) -> tuple:
+    rows = []
     for p in quadfield.primes_up_to(args.limit - 1):
         if p == 2:
             continue
         rec = quadfield.prime_record(p)
-        records.append(
-            {
-                "p": p,
-                "s": rec.s,
-                "class": rec.cls.value,
-                "h": rec.h,
-                "epsilon": str(rec.epsilon) if rec.epsilon else None,
-                "beta": rec.beta,
-                "regime": _regime_name(rec.beta) if rec.beta is not None else "",
-            }
-        )
-    return records
+        rows.append((
+            p,
+            rec.s,
+            rec.cls.value,
+            rec.h,
+            str(rec.epsilon) if rec.epsilon else None,
+            rec.beta,
+            _regime_name(rec.beta) if rec.beta is not None else "",
+        ))
+    return ["p", "s", "class", "h", "epsilon", "beta", "regime"], rows
 
 
-def _cmd_spectrum(args) -> list:
+def _cmd_spectrum(args) -> tuple:
     params = tmcore.QuasicrystalParams(args.a, args.b)
-    records = []
+    rows = []
     for tok in args.q.split(","):
         tok = tok.strip()
         if not tok:
             continue
         q = _parse_fraction(tok)
         v = spectrum.classify(q, params, horizon_exponent=args.horizon)
-        records.append(
-            {
-                "q": tok,
-                "t": v.t,
-                "h": v.h,
-                "p": v.p,
-                "kind": v.kind.value,
-                "alpha": v.alpha,
-                "residue_alpha": v.residue_alpha,
-                "kappa_eta_abs": abs(v.kappa_eta),
-                "source": v.exponent_source,
-                "conjectural": v.conjectural,
-            }
-        )
-    return records
+        rows.append((
+            tok, v.t, v.h, v.p, v.kind.value, v.alpha, v.residue_alpha,
+            abs(v.kappa_eta), v.exponent_source, v.conjectural,
+        ))
+    columns = [
+        "q", "t", "h", "p", "kind", "alpha", "residue_alpha",
+        "kappa_eta_abs", "source", "conjectural",
+    ]
+    return columns, rows
 
 
-def _cmd_profile(args) -> list:
+def _cmd_profile(args) -> tuple:
     try:
         prof = rareclass.fractal_profile(
             args.p, args.j, args.horizon, resolution=args.resolution
         )
     except ValueError as exc:  # p, residue, horizon or resolution out of range
         raise UsageError(str(exc)) from exc
-    records = [
-        {
-            "x": float(x),
-            "psi": float(v),
-            "raw": float(rw),
-            "n": int(n),
-        }
+    rows = [
+        (float(x), float(v), float(rw), int(n))
         for x, v, rw, n in zip(prof.x, prof.values, prof.raw, prof.n_samples)
     ]
-    summary = {
-        "x": None,
-        "psi": prof.bounds[0],
-        "raw": prof.bounds[1],
-        "n": None,
-    }
     # bounds summary row goes last so column-oriented plotting can drop it
-    records.append(summary)
-    return records
+    rows.append((None, prof.bounds[0], prof.bounds[1], None))
+    return ["x", "psi", "raw", "n"], rows
 
 
-def _rarefy_columns(p: int) -> list:
-    return ["n"] + [f"s{i}" for i in range(p)]
-
-
-def _cmd_rarefy(args) -> list:
+def _cmd_rarefy(args) -> tuple:
     try:
-        rows = rareclass.rarefied_rows(args.p, args.limit)
-        keys = _rarefy_columns(args.p)
-        return [dict(zip(keys, (n, *row))) for n, row in enumerate(rows)]
+        rows = [(n, *row) for n, row in enumerate(rareclass.rarefied_rows(args.p, args.limit))]
     except ValueError as exc:  # p or limit out of range
         raise UsageError(str(exc)) from exc
+    return ["n"] + [f"s{i}" for i in range(args.p)], rows
 
 
 _WEIGHT_FAMILIES = ("ones", "zero", "squares", "random")
@@ -299,28 +255,12 @@ def _weights_by_name(name: str, horizon: int, seed: int) -> np.ndarray:
     raise UsageError(f"unknown weight family {name!r}; pick from {_WEIGHT_FAMILIES}")
 
 
-def _cmd_marcinkiewicz(args) -> list:
+def _cmd_marcinkiewicz(args) -> tuple:
     w = _weights_by_name(args.weights, 1 << args.horizon, args.seed)
     est = spectrum.marcinkiewicz_norm(w, 1 << args.horizon)
-    records = [
-        {"l": l, "mean_abs_weight": v, "estimate": None}
-        for l, v in est.dyadic_values
-    ]
-    records.append({"l": est.horizon, "mean_abs_weight": None, "estimate": est.value})
-    return records
-
-
-_COLUMNS = {
-    "sequence": ["n", "digit_sum", "sign", "f"],
-    "diffract": ["q", "k", "l", "density", "alpha_l"],
-    "classify-primes": ["p", "s", "class", "h", "epsilon", "beta", "regime"],
-    "spectrum": [
-        "q", "t", "h", "p", "kind", "alpha", "residue_alpha",
-        "kappa_eta_abs", "source", "conjectural",
-    ],
-    "profile": ["x", "psi", "raw", "n"],
-    "marcinkiewicz": ["l", "mean_abs_weight", "estimate"],
-}
+    rows = [(l, v, None) for l, v in est.dyadic_values]
+    rows.append((est.horizon, None, est.value))
+    return ["l", "mean_abs_weight", "estimate"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +279,8 @@ def _build_parser(cls: type = _Parser) -> _Parser:
         p.add_argument("--b", default="1", help="tile length b as num/den")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="accepted and ignored: every command runs in one process")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sequence", help="digit sums, signs and vertices")
@@ -449,12 +390,8 @@ def main(argv: list | None = None) -> int:
             args.b = _parse_fraction(str(args.b))
             if not 0 < args.b < args.a:
                 raise UsageError("tile lengths must satisfy 0 < b < a")
-        records = _HANDLERS[args.command](args)
-        if args.command == "rarefy":
-            columns = _rarefy_columns(args.p)
-        else:
-            columns = _COLUMNS[args.command]
-        _emit(records, columns, args.format, args.out)
+        columns, rows = _HANDLERS[args.command](args)
+        _emit(columns, rows, args.format, args.out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,7 @@ __all__ = [
     "kappa_closed",
     "is_bragg",
     "scaling_exponent_alpha",
+    "scaling_exponents_at_sizes",
     "fitted_alpha",
 ]
 
@@ -140,8 +141,9 @@ def density_at_sizes(
         sum_{n<2L} e^{-ik f(n)} = (1 + e^{-ikc} cos kd) G_L(z) - i e^{-ikc} sin(kd) T_L(z)
 
     with c = (a+b)/2, d = (a-b)/2 and z = e^{-ik(a+b)}; G_L and T_L come from
-    `_block_sums`.  The float k carries the doubling orbit of z exactly only
-    for l < 2^53, so larger sizes raise ValueError.
+    one `_block_table` built for the largest size.  The float k carries the
+    doubling orbit of z exactly only for l < 2^53, so larger sizes raise
+    ValueError.
 
     `weights`, when given, is an array indexed by n-1 covering max(sizes);
     weighted densities are one cumulative O(max(sizes)) pass over n,
@@ -160,10 +162,11 @@ def density_at_sizes(
     rot = cmath.exp(-1j * k * float(params.alpha1))
     even_w = 1.0 + rot * math.cos(kd)
     odd_w = -1j * rot * math.sin(kd)
+    # n < 2L covers n = 0..l for odd l and n = 0..l-1 for even l
+    table = _block_table(x, ((max(caller_sizes) + 1) // 2).bit_length() - 1)
     out = np.empty(len(caller_sizes))
     for idx, l in enumerate(caller_sizes):
-        # n < 2L covers n = 0..l for odd l and n = 0..l-1 for even l
-        g, t, z_half = _block_sums(x, (l + 1) // 2)
+        g, t, z_half = _walk_blocks(table, (l + 1) // 2)
         total = even_w * _unscale(g) + odd_w * _unscale(t) - 1.0  # drop n = 0
         if l % 2 == 0:
             total += z_half  # n = l: f(l) = (l/2)(a+b)
@@ -242,6 +245,8 @@ def _rescale(m: complex, e: int) -> tuple:
     if m == 0:
         return m, e
     f = math.frexp(abs(m))[1]
+    if f < -1000:  # subnormal |m|: 2^-f alone would overflow
+        return m * 2.0 ** 1000 * math.ldexp(1.0, -f - 1000), e + f
     return m * math.ldexp(1.0, -f), e + f
 
 
@@ -260,21 +265,20 @@ def _unscale(pair: tuple) -> complex:
     return pair[0] * math.ldexp(1.0, pair[1])
 
 
-def _block_sums(x, big_l: int) -> tuple:
-    """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
-    L >= 1, in O(log L) operations; returns (G_L, T_L, z^L).
+def _block_table(x, top: int) -> tuple:
+    """The per-frequency part of the block sums for z = e^{-2 pi i x}, bits
+    0..top: (nums, den, prod_g, prod_t, steps).
 
-    A binary block of L of length 2^j at offset o (the sum of the higher bits
-    of L) contributes z^o prod_{i<j} (1 + z^{2^i}) to G_L and
-    eta_o z^o prod_{i<j} (1 - z^{2^i}) to T_L.  With theta_i = pi psi_i and
-    psi_i = frac(2^i x) taken in (-1/2, 1/2] (`_dyadic_fracs`, exact), the
-    factors are 2 cos(theta_i) e^{-i theta_i} and 2i sin(theta_i) e^{-i theta_i}.
-    Each is a sine whose argument is exactly 0 where the factor vanishes
-    (z^{2^i} = -1 for G, z^{2^i} = 1 for T).  G_L and T_L
-    are (mantissa, exponent) pairs, value = mantissa * 2^exponent, so no L
-    overflows or underflows.
+    nums/den is the doubling orbit psi_i = frac(2^i x) in (-1/2, 1/2]
+    (`_dyadic_fracs`, exact).  With theta_i = pi psi_i, prod_g[j] and
+    prod_t[j] are the (mantissa, exponent) products over i < j of
+    2 cos(theta_i) e^{-i theta_i} = 1 + z^{2^i} and
+    2i sin(theta_i) e^{-i theta_i} = 1 - z^{2^i}, and steps[i] = z^{2^i}.
+    Each factor is a sine whose argument is exactly 0 where the factor
+    vanishes (z^{2^i} = -1 for G, z^{2^i} = 1 for T).  Every entry depends
+    only on the lower bits, so one table built up to the top bit of the
+    largest L serves every smaller L unchanged (`_walk_blocks`).
     """
-    top = big_l.bit_length() - 1
     nums, den = _dyadic_fracs(x, top + 1)
     prod_g, prod_t = [(1 + 0j, 0)], [(1 + 0j, 0)]  # products over i < j
     steps = []  # z^{2^i}
@@ -288,9 +292,21 @@ def _block_sums(x, big_l: int) -> tuple:
             prod_g.append(_rescale(m * (2.0 * c) * rot, e))
             m, e = prod_t[-1]
             prod_t.append(_rescale(m * (2j * s) * rot, e))
+    return nums, den, prod_g, prod_t, steps
+
+
+def _walk_blocks(table: tuple, big_l: int) -> tuple:
+    """(G_L, T_L, z^L) from a `_block_table` that reaches the top bit of L.
+
+    A binary block of L of length 2^j at offset o (the sum of the higher
+    bits of L) contributes z^o prod_g[j] to G_L and eta_o z^o prod_t[j] to
+    T_L.  G_L and T_L are (mantissa, exponent) pairs, value =
+    mantissa * 2^exponent, so no L overflows or underflows.
+    """
+    _, _, prod_g, prod_t, steps = table
     g = t = (0j, 0)
     z_off, eta_off = 1 + 0j, 1  # z^o and eta_o at the current block's offset
-    for j in range(top, -1, -1):
+    for j in range(big_l.bit_length() - 1, -1, -1):
         if big_l >> j & 1:
             m, e = prod_g[j]
             g = _add_scaled(g, (z_off * m, e))
@@ -299,6 +315,12 @@ def _block_sums(x, big_l: int) -> tuple:
             z_off *= steps[j]
             eta_off = -eta_off
     return g, t, z_off
+
+
+def _block_sums(x, big_l: int) -> tuple:
+    """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
+    L >= 1, in O(log L) operations; returns (G_L, T_L, z^L)."""
+    return _walk_blocks(_block_table(x, big_l.bit_length() - 1), big_l)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +340,10 @@ def eta_sum(l: int, x: float) -> complex:
 def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     """|S_l(x)|^2 / l at several sizes l, in caller order; O(log l) each.
 
-    S_l(x) is the block sum T_l of `_block_sums`.  x is a float or a
-    Fraction: a Fraction's doubling orbit is exact at every l, a float's only
-    for l < 2^53, so larger sizes with a float x raise ValueError.
+    S_l(x) is the block sum T_l, read from one `_block_table` built for the
+    largest size.  x is a float or a Fraction: a Fraction's doubling orbit is
+    exact at every l, a float's only for l < 2^53, so larger sizes with a
+    float x raise ValueError.
     """
     caller_sizes = [int(s) for s in sizes]
     if not caller_sizes:
@@ -328,9 +351,10 @@ def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
     _check_float_orbit(x, max(caller_sizes))
+    table = _block_table(x, max(caller_sizes).bit_length() - 1)
     out = np.empty(len(caller_sizes))
     for idx, l in enumerate(caller_sizes):
-        t, e = _block_sums(x, l)[1]
+        t, e = _walk_blocks(table, l)[1]
         top = l.bit_length() - 1
         try:  # |t|^2 2^{2e} / l with l = 2^top * (l / 2^top)
             out[idx] = math.ldexp(abs(t) ** 2, 2 * e - top) / (l / (1 << top))
@@ -358,22 +382,38 @@ def riesz_product(n: int, x) -> float:
 
 
 def scaling_exponent_alpha(l: int, x) -> float:
-    """Finite-size exponent alpha_l(x) defined by l^{alpha_l} = |S_l(x)|^2/l.
+    """Finite-size exponent alpha_l(x) defined by l^{alpha_l} = |S_l(x)|^2/l;
+    see `scaling_exponents_at_sizes`."""
+    return scaling_exponents_at_sizes(x, [l])[0]
 
-    Returns -inf (the explicit extinction marker) when the sum vanishes.
-    Powers of two go through the product form in log space, other l through
-    the block sums of `_block_sums`; both cost O(log l) and never overflow,
-    so l may be astronomically large when x is a Fraction (exact orbit).  A
-    float x is limited to l < 2^53 (ValueError beyond).
+
+def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
+    """alpha_l(x) for several sizes l >= 2, in caller order, as floats.
+
+    Returns -inf (the explicit extinction marker) where the sum vanishes.
+    One `_block_table` is built for the largest size: powers of two read
+    its orbit numerators in the product form, in log space; other l walk
+    its blocks.  Both cost O(log l) per size and never overflow, so l may be
+    astronomically large when x is a Fraction (exact orbit).  A float x is
+    limited to l < 2^53 (ValueError beyond).
     """
-    if l < 2:
+    caller_sizes = [int(s) for s in sizes]
+    if not caller_sizes:
+        return []
+    if min(caller_sizes) < 2:
         raise ValueError("l must be >= 2")
-    _check_float_orbit(x, l)
+    _check_float_orbit(x, max(caller_sizes))
+    table = _block_table(x, max(caller_sizes).bit_length() - 1)
+    return [_alpha_from_table(table, l) for l in caller_sizes]
+
+
+def _alpha_from_table(table: tuple, l: int) -> float:
+    """alpha_l from a `_block_table` that reaches the top bit of l."""
     n = l.bit_length() - 1
     if l == 1 << n:
         log_sq = 2.0 * n * math.log(2.0)  # log 2^{2n}
-        nums, den = _dyadic_fracs(x, n)
-        for r in nums:
+        nums, den = table[0], table[1]
+        for r in nums[:n]:
             s = abs(math.sin(math.pi * (r / den)))
             if s < _SMALLEST_NORMAL:
                 if r == 0:
@@ -384,7 +424,7 @@ def scaling_exponent_alpha(l: int, x) -> float:
                 continue
             log_sq += 2.0 * math.log(s)
         return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
-    t, e = _block_sums(x, l)[1]
+    t, e = _walk_blocks(table, l)[1]
     if t == 0:
         return -math.inf
     log_sq = 2.0 * (math.log(abs(t)) + e * math.log(2.0))

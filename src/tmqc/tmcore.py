@@ -111,9 +111,7 @@ def signs_of(m: np.ndarray) -> np.ndarray:
         x = (x & _U64(0x3333333333333333)) + ((x >> _U64(2)) & _U64(0x3333333333333333))
         x = (x + (x >> _U64(4))) & _U64(0x0F0F0F0F0F0F0F0F)
         pc = (x * _U64(0x0101010101010101)) >> _U64(56)
-    out = np.ones(m.shape, dtype=np.int8)
-    out[(pc & _U64(1)).astype(bool)] = -1
-    return out
+    return 1 - 2 * (pc & 1).astype(np.int8)
 
 
 def prefix_eta_sum(n: int) -> int:

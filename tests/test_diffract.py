@@ -26,6 +26,7 @@ from tmqc.diffract import (
     kappa_pair,
     riesz_product,
     scaling_exponent_alpha,
+    scaling_exponents_at_sizes,
 )
 from tmqc.tmcore import QuasicrystalParams, tm_sign, point
 
@@ -383,6 +384,132 @@ class TestFloatFrequencyLimit:
             assert 0.16 < scaling_exponent_alpha(l, Fraction(3, 10)) < 0.18
         (value,) = eta_sums_at_sizes(Fraction(3, 10), [(1 << 60) + 1])
         assert value > 0 and math.isfinite(value)
+
+
+def _one_shot_density(k, l, params):
+    """nu_l(k) from one `_block_sums` at this l alone."""
+    x = k * float(params.a + params.b) / (2.0 * math.pi)
+    kd = k * float((params.a - params.b) / 2)
+    rot = cmath.exp(-1j * k * float(params.alpha1))
+    g, t, z_half = diffract._block_sums(x, (l + 1) // 2)
+    total = ((1.0 + rot * math.cos(kd)) * diffract._unscale(g)
+             + (-1j * rot * math.sin(kd)) * diffract._unscale(t) - 1.0)
+    if l % 2 == 0:
+        total += z_half
+    return abs(total) ** 2 / l
+
+
+def _one_shot_eta(x, l):
+    """|S_l(x)|^2 / l from one `_block_sums` at this l alone."""
+    t, e = diffract._block_sums(x, l)[1]
+    top = l.bit_length() - 1
+    return math.ldexp(abs(t) ** 2, 2 * e - top) / (l / (1 << top))
+
+
+def _one_shot_alpha(l, x):
+    """alpha_l(x) from its own orbit (l = 2^n) or one `_block_sums` at l."""
+    n = l.bit_length() - 1
+    if l == 1 << n:
+        log_sq = 2.0 * n * math.log(2.0)
+        nums, den = diffract._dyadic_fracs(x, n)
+        for r in nums:
+            s = abs(math.sin(math.pi * (r / den)))
+            if s < diffract._SMALLEST_NORMAL:
+                if r == 0:
+                    return -math.inf
+                log_sq += 2.0 * (diffract._LOG_PI + math.log(abs(r)) - math.log(den))
+                continue
+            log_sq += 2.0 * math.log(s)
+        return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
+    t, e = diffract._block_sums(x, l)[1]
+    if t == 0:
+        return -math.inf
+    return (2.0 * (math.log(abs(t)) + e * math.log(2.0)) - math.log(l)) / math.log(l)
+
+
+def _size_lists(limit: int):
+    """Unsorted size lists with 1, powers of two and repeats."""
+    size = st.one_of(
+        st.integers(1, limit),
+        st.integers(0, limit.bit_length() - 1).map(lambda j: 1 << j),
+        st.integers(1, 64),
+    )
+    return st.builds(
+        lambda sizes, pick: [1] + sizes + [sizes[i % len(sizes)] for i in pick],
+        st.lists(size, min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), max_size=3),
+    )
+
+
+_FLOAT_LIMIT = (1 << 53) - 1
+_FLOAT_FREQS = st.one_of(
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+    _FREQS.map(float),
+)
+_EXACT_FREQS = st.one_of(
+    _FREQS,
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 64)),
+)
+
+
+class TestBlockTable:
+    """One table per frequency, walked for every size, equals a table
+    built afresh for each size, bit for bit."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(params=_tiles(), k=_FLOAT_FREQS, sizes=_size_lists(_FLOAT_LIMIT))
+    def test_densities(self, params, k, sizes):
+        got = density_at_sizes(k, sizes, params)
+        assert list(got) == [_one_shot_density(k, l, params) for l in sizes]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(x=_FLOAT_FREQS, sizes=_size_lists(_FLOAT_LIMIT))
+    def test_eta_sums_float(self, x, sizes):
+        assert list(eta_sums_at_sizes(x, sizes)) == [_one_shot_eta(x, l) for l in sizes]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(x=_EXACT_FREQS, sizes=_size_lists(1 << 200))
+    def test_eta_sums_fraction(self, x, sizes):
+        assert list(eta_sums_at_sizes(x, sizes)) == [_one_shot_eta(x, l) for l in sizes]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(x=st.one_of(_FLOAT_FREQS, _EXACT_FREQS), sizes=_size_lists(_FLOAT_LIMIT),
+           big=_size_lists(1 << 200))
+    def test_exponents(self, x, sizes, big):
+        if isinstance(x, Fraction):
+            sizes = sizes + big
+        sizes = [max(l, 2) for l in sizes]
+        expected = [_one_shot_alpha(l, x) for l in sizes]
+        assert scaling_exponents_at_sizes(x, sizes) == expected
+        assert [scaling_exponent_alpha(l, x) for l in sizes] == expected
+
+    def test_dyadic_exponent_below_float_range_matches(self):
+        # subnormal orbit quotients take the pi x branch in both routes
+        x = Fraction(12345, 2**4160)
+        sizes = [1 << 4096, (1 << 4096) + 3, 4]
+        assert scaling_exponents_at_sizes(x, sizes) == [_one_shot_alpha(l, x) for l in sizes]
+
+    def test_subnormal_products_do_not_overflow(self):
+        # a sine factor below the smallest normal float makes a subnormal
+        # digit product; rescaling it used to raise OverflowError
+        for x in (5e-324, 2.0 ** -1060, Fraction(1, 2**1060)):
+            etas = eta_sums_at_sizes(x, [3, 5, 4])
+            assert list(etas) == [abs(eta_sum(l, float(x))) ** 2 / l for l in (3, 5, 4)]
+            assert scaling_exponents_at_sizes(x, [3, 4]) == [_one_shot_alpha(l, x) for l in (3, 4)]
+
+    def test_refusals(self):
+        for bad in ([1], [0], [64, 1], [-3]):
+            with pytest.raises(ValueError, match="l must be >= 2"):
+                scaling_exponents_at_sizes(Fraction(1, 3), bad)
+        for l in (1, 0, -3):
+            with pytest.raises(ValueError, match="l must be >= 2"):
+                scaling_exponent_alpha(l, Fraction(1, 3))
+        for l in (1 << 53, (1 << 53) + 1):
+            with pytest.raises(ValueError, match="pass a Fraction"):
+                scaling_exponent_alpha(l, 0.3)
+            with pytest.raises(ValueError, match="pass a Fraction"):
+                scaling_exponents_at_sizes(0.3, [16, l])
+        assert scaling_exponents_at_sizes(0.3, []) == []
 
 
 class TestFittedAlpha:

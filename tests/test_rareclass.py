@@ -46,19 +46,16 @@ class TestRarefiedSums:
                     assert rarefied_sum(p, i, n) == rarefied_sum_direct(p, i, n)
 
     def test_recursion_matches_direct_random(self):
-        # vectorized direct summation as the oracle at larger n
-        from tmqc.tmcore import sign_array
+        # vectorized direct summation as the oracle at larger n: popcount
+        # signs of the progression members i, i + p, ... below n only
+        from tmqc.tmcore import signs_of
 
         def direct_numpy(p, i, n):
             total = 0
-            for lo in range(i, n, 1 << 22):
-                hi = min(lo + (1 << 22), n)
-                # progression members inside [lo, hi)
-                start = lo + ((i - lo) % p)
-                if start >= hi:
-                    continue
-                idx = np.arange(start, hi, p)
-                total += int(sign_array(lo, hi)[idx - lo].sum())
+            span = p << 20  # 2^20 members per chunk
+            for lo in range(i, n, span):
+                members = np.arange(lo, min(lo + span, n), p)
+                total += int(signs_of(members).sum(dtype=np.int64))
             return total
 
         rng = np.random.default_rng(2)
