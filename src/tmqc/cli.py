@@ -23,11 +23,13 @@ import argparse
 import csv
 import io
 import json
+# argparse translates its messages through gettext, which imports locale
+# inside the first parse (about 2 ms); importing it here puts that cost in
+# start-up instead of the first command
+import locale  # noqa: F401
 import math
 import os
 import sys
-# unused here: kept because perfbench/spans.py wraps it and `_diffract_worker` by name
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +41,17 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first access: no command runs a
+    pool, but perfbench/spans.py wraps the name (with `_diffract_worker`),
+    and importing it at start-up would load multiprocessing."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,7 +211,10 @@ def _cmd_spectrum(args) -> tuple:
         if not tok:
             continue
         q = _parse_fraction(tok)
-        v = spectrum.classify(q, params, horizon_exponent=args.horizon)
+        try:
+            v = spectrum.classify(q, params, horizon_exponent=args.horizon)
+        except ValueError as exc:  # an odd part the exponent routes refuse
+            raise UsageError(f"q={tok}: {exc}") from exc
         rows.append((
             tok, v.t, v.h, v.p, v.kind.value, v.alpha, v.residue_alpha,
             abs(v.kappa_eta), v.exponent_source, v.conjectural,

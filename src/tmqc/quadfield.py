@@ -353,7 +353,7 @@ def scan_size_increasing(limit: int, include_other: bool = True) -> SizeIncreasi
     P1/P23 use the closed formula; P21 uses beta = (log p + sqrt(p) L) /
     ((p-1) log 2), which avoids the unit entirely through the class-number
     identity.  The Other classes (no closed formula) are scanned through the
-    explicit eigenvalue product when requested.
+    coset spectrum (`rareclass.scaling_exponents`) when requested.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")

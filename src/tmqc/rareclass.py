@@ -23,6 +23,7 @@ consecutive n is one running scan instead (`rarefied_rows`).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .tmcore import sign_array, signs_of, tm_sign
-from .quadfield import PrimeClass, classify_prime, is_prime, order_of_two
+from .quadfield import PrimeClass, _factorize, classify_prime, is_prime, order_of_two
 
 __all__ = [
     "RarefiedVector",
@@ -233,31 +234,130 @@ def rarefied_series(p: int, i: int, n_max: int, chunk: int = 1 << 22) -> np.ndar
 # transfer matrix and its spectrum
 # ---------------------------------------------------------------------------
 
-def cosets_of_two(p: int) -> list:
-    """Cosets of the subgroup <2> inside (Z/pZ)*, smallest representative first."""
+# the largest p whose coset spectrum is computed: the coset table holds p - 1
+# int32 residues; at the cap it takes about 0.5 s and 130 MB to build
+MAX_SPECTRUM_P = 1 << 23
+
+
+def _check_spectrum_prime(p: int) -> None:
+    if p > MAX_SPECTRUM_P:
+        raise ValueError(
+            f"p={p} exceeds the coset-spectrum limit p <= 2^23 = {MAX_SPECTRUM_P}"
+        )
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    sub = []
-    x = 1
-    while True:
-        sub.append(x)
-        x = (2 * x) % p
-        if x == 1:
-            break
-    seen = set()
-    cosets = []
-    for a in range(1, p):
-        if a in seen:
-            continue
-        cs = sorted((a * w) % p for w in sub)
-        seen.update(cs)
-        cosets.append(tuple(cs))
-    return cosets
+
+
+def _powers(base: int, count: int, p: int) -> np.ndarray:
+    """base^k mod p for k = 0..count-1 as int64: a block of ceil(sqrt(count))
+    consecutive powers times the powers of the block's stride, so the Python
+    loops take O(sqrt(count)) steps.  Needs p^2 < 2^63."""
+    width = math.isqrt(count - 1) + 1
+    head = [1]
+    for _ in range(width):
+        head.append(head[-1] * base % p)
+    stride = head.pop()                 # base^width
+    steps = [1]
+    for _ in range((count - 1) // width):
+        steps.append(steps[-1] * stride % p)
+    block = np.array(steps, dtype=np.int64)[:, None] * np.array(head, dtype=np.int64) % p
+    return block.ravel()[:count]
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest generator of (Z/pZ)*, p an odd prime."""
+    factors = _factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // f, p) == 1 for f in factors):
+        g += 1
+    return g
+
+
+def _orbit_log2(w: np.ndarray, p: int) -> np.ndarray:
+    """Sum over the last axis of log2 |1 - zeta^w| = log2(2 sin(pi r / p)),
+    r = min(w, p - w).
+
+    The centred residue keeps the sine's argument in (0, pi/2], where it is
+    well conditioned; an uncentred one (pi w / p near w = p, or 2 pi j / p
+    near j = p/2) loses about p ulps in the sine.  Terms are summed in
+    increasing r, so orbits with the same centred residues (a coset C and
+    its conjugate -C) get bit-identical sums.
+    """
+    r = np.minimum(w, p - w)
+    r.sort(axis=-1)
+    x = r * (math.pi / p)
+    del r                   # the float work runs in place, one array at a time
+    np.sin(x, out=x)
+    x *= 2.0
+    np.log2(x, out=x)
+    return x.sum(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _CosetSpectrum:
+    """The cosets a<2> of (Z/pZ)* with their eigenvalues
+    xi_a = (-2i)^s prod_{j in a<2>} sin(2 pi j / p) = (-i)^s sign_a |xi_a|,
+    ordered by |xi_a| descending, then by smallest representative.
+
+    cosets       (m, s) int32, one coset per row, m = (p - 1)/s
+    log2_moduli  (m,) log2 |xi_a|
+    signs        (m,) sign of the sine product: -1 to the count of j > p/2
+    """
+
+    p: int
+    s: int
+    cosets: np.ndarray
+    log2_moduli: np.ndarray
+    signs: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _coset_spectrum(p: int) -> _CosetSpectrum:
+    """The coset spectrum of an odd prime p <= MAX_SPECTRUM_P, built once.
+
+    With g a primitive root, row i of the table holds g^(i + m j) for
+    j < s: that is g^i <g^m> = g^i <2>.  The arrays are read-only, since
+    every caller shares them.
+    """
+    _check_spectrum_prime(p)
+    s = order_of_two(p)
+    m = (p - 1) // s
+    powers = _powers(_primitive_root(p), p - 1, p)
+    table = np.ascontiguousarray(powers.reshape(s, m).T, dtype=np.int32)
+    del powers              # the int64 block, before the sums need memory
+    logs = _orbit_log2(table, p)
+    order = np.lexsort((table.min(axis=1), -logs))
+    table, logs = table[order], logs[order]
+    signs = 1 - 2 * (np.count_nonzero(table > p // 2, axis=1) & 1)
+    for arr in (table, logs, signs):
+        arr.flags.writeable = False
+    return _CosetSpectrum(p, s, table, logs, signs)
+
+
+def _exp2(x: float) -> float:
+    """2^x, reading inf beyond the float range."""
+    return 2.0**x if x < 1024.0 else math.inf
+
+
+def _on_axis(v: float, s: int) -> complex:
+    """v (-i)^s, with exactly zero components off the axis."""
+    return (complex(v, 0.0), complex(0.0, -v), complex(-v, 0.0), complex(0.0, v))[s % 4]
+
+
+def cosets_of_two(p: int) -> list:
+    """Cosets of the subgroup <2> inside (Z/pZ)*, each sorted, listed by
+    smallest representative."""
+    rows = np.sort(_coset_spectrum(p).cosets, axis=1)
+    return [tuple(row) for row in rows[np.argsort(rows[:, 0])].tolist()]
 
 
 def coset_eigenvalue(p: int, t: int) -> complex:
     """Circulant eigenvalue at character t: prod over w in t<2> of (1 - zeta^w),
-    zeta = exp(-2 pi i / p).  Its modulus equals |xi| of the matching coset."""
+    zeta = exp(-2 pi i / p).  Its modulus equals |xi| of the matching coset.
+
+    The direct complex product, one power per orbit step: kept as the
+    independent oracle of the coset spectrum, which nothing else calls.
+    """
     if t % p == 0:
         raise ValueError("t must be nonzero mod p")
     s = order_of_two(p)
@@ -272,25 +372,31 @@ def coset_eigenvalue(p: int, t: int) -> complex:
 
 def residue_exponent(p: int, t: int) -> float:
     """Growth exponent of the sign-sequence exponential sum at frequency t/p:
-    log|mu_t| / (s log 2).  It is constant on cosets of <2>, so for primes
-    with two cosets the exponent genuinely depends on the residue t: only
-    the coset carrying lambda_1 grows at the headline rate."""
+    log2|mu_t| / s.  It is constant on cosets of <2>, so for primes with two
+    cosets the exponent genuinely depends on the residue t: only the coset
+    carrying lambda_1 grows at the headline rate.
+
+    log2|mu_t| is summed over the orbit t 2^j mod p (j < s) alone, as in
+    `_orbit_log2`: O(s) numpy work and no coset table.  |mu_t| itself, which
+    leaves the float range at large s, is never formed.
+    """
+    _check_spectrum_prime(p)
+    if t % p == 0:
+        raise ValueError("t must be nonzero mod p")
     s = order_of_two(p)
-    return math.log(abs(coset_eigenvalue(p, t))) / (s * _LOG2)
+    return float(_orbit_log2(t % p * _powers(2, s, p) % p, p)) / s
 
 
 def eigenvalues_explicit(p: int) -> list:
     """One eigenvalue xi_a = (-2i)^s * prod_{j in a<2>} sin(2 pi j / p) per
-    coset, sorted by modulus descending.  Their product equals p."""
-    s = order_of_two(p)
-    out = []
-    for cs in cosets_of_two(p):
-        prod = 1.0
-        for j in cs:
-            prod *= math.sin(2.0 * math.pi * j / p)
-        out.append((-2j) ** s * prod)
-    out.sort(key=abs, reverse=True)
-    return out
+    coset, in the coset spectrum's order: modulus descending, equal moduli
+    (conjugate cosets) by smallest representative.  Their product equals p.
+    Each lies exactly on an axis; a modulus beyond the float range reads inf."""
+    sp = _coset_spectrum(p)
+    return [
+        _on_axis(sign * _exp2(lg), sp.s)
+        for sign, lg in zip(sp.signs.tolist(), sp.log2_moduli.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -336,15 +442,16 @@ class TransferMatrix:
 
 
 def scaling_exponents(p: int, boundary_tol: float = 1e-9) -> ScalingExponents:
-    """(beta, beta1) for an odd prime p, from the explicit coset eigenvalues."""
-    s = order_of_two(p)
-    mods = sorted((abs(x) for x in eigenvalues_explicit(p)), reverse=True)
-    lam1 = mods[0]
-    lam2 = mods[1] if len(mods) > 1 else 0.0
-    beta = math.log(lam1) / (s * _LOG2)
+    """(beta, beta1) for an odd prime p, from the two largest coset moduli
+    of the coset spectrum."""
+    sp = _coset_spectrum(p)
+    l1 = float(sp.log2_moduli[0])
+    l2 = float(sp.log2_moduli[1]) if len(sp.log2_moduli) > 1 else -math.inf
+    lam1, lam2 = _exp2(l1), _exp2(l2)
+    beta = l1 / sp.s
     if abs(lam2 - 1.0) <= boundary_tol:
         return ScalingExponents(beta, None, lam1, lam2, lambda2_boundary=True)
-    beta1 = math.log(lam2) / (s * _LOG2) if lam2 > 1.0 else 0.0
+    beta1 = l2 / sp.s if lam2 > 1.0 else 0.0
     return ScalingExponents(beta, beta1, lam1, lam2)
 
 

@@ -52,7 +52,9 @@ __all__ = [
     "class_invariance_check",
 ]
 
-_KAPPA_ETA_ZERO_TOL = 1e-10
+# |kappa_eta| below this, though not zero, sets `kappa_eta_boundary`: a
+# float route that reads kappa_eta would take such a q for extinct
+_KAPPA_ETA_NEAR_ZERO = 1e-7
 
 
 class SpectralKind(enum.Enum):
@@ -119,7 +121,7 @@ class SpectralVerdict:
     kappa_eta: complex
     exponent_source: str | None = None    # closed-form | composite-dominant | fitted
     conjectural: bool = False
-    kappa_eta_boundary: bool = False
+    kappa_eta_boundary: bool = False      # 0 < |kappa_eta| < 1e-7
     residue_alpha: float | None = None    # coset-resolved exponent at t (primes)
     fit: diffract.AlphaFit | None = None
 
@@ -144,8 +146,10 @@ def classify(
 ) -> SpectralVerdict:
     """Classify a rational normalized wave vector.
 
-    For odd prime p the exponent comes from the closed per-class formulas
-    (delegating to the transfer-matrix spectrum outside the three classes).
+    Extinction (kappa_eta = 0) is decided on the exact rational q.  For odd
+    prime p the exponent comes from the closed per-class formulas
+    (delegating to the coset spectrum outside the three classes); primes
+    above `rareclass.MAX_SPECTRUM_P` raise ValueError.
     For p = 3^{r1} 5^{r2} the dominant-prime exponent log3/(2 log 2) is used.
     Other composite p get a fitted exponent flagged as conjectural.
 
@@ -161,15 +165,19 @@ def classify(
         return SpectralVerdict(
             SpectralKind.BRAGG, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
         )
-    boundary = _KAPPA_ETA_ZERO_TOL <= abs(ke) < 1e3 * _KAPPA_ETA_ZERO_TOL
-    if abs(ke) < _KAPPA_ETA_ZERO_TOL:
+    # |kappa_eta| = sin^2(2 pi q (a - b)/(a + b)) vanishes exactly when
+    # 2 q (a - b)/(a + b) is an integer
+    if (2 * nwv.q * (params.a - params.b) / (params.a + params.b)).denominator == 1:
         return SpectralVerdict(
             SpectralKind.EXCLUDED, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
         )
+    boundary = abs(ke) < _KAPPA_ETA_NEAR_ZERO
     p = nwv.p
     if quadfield.is_prime(p):
-        alpha = alpha_exact(p, nwv.h)
+        # first: it refuses p above the coset-spectrum limit before the
+        # closed forms factor p - 1
         res_alpha = 2.0 * rareclass.residue_exponent(p, nwv.t % p) - 1.0
+        alpha = alpha_exact(p, nwv.h)
         return SpectralVerdict(
             SpectralKind.SINGULAR_CONTINUOUS, nwv.q, nwv.t, nwv.h, nwv.p, k,
             alpha, ke,
@@ -211,9 +219,8 @@ def _prime_progression_sizes(p: int, horizon_exponent: int, per_octave: int = 4)
     """Sizes l = p N + 1 with N log-spaced up to 2^horizon_exponent / p."""
     n_top = max(16, ((1 << horizon_exponent) - 1) // p)
     count = max(8, per_octave * int(math.log2(n_top / 4)))
-    ns = np.unique(
-        np.round(np.logspace(math.log10(4), math.log10(n_top), count)).astype(np.int64)
-    )
+    # a set of Python ints, not np.unique, which imports numpy.ma on first use
+    ns = sorted({int(n) for n in np.round(np.logspace(math.log10(4), math.log10(n_top), count))})
     return [int(p * n + 1) for n in ns]
 
 

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from tmqc import cli
+from tmqc import cli, rareclass
 
 
 def run_cli(args, capsys):
@@ -147,6 +151,73 @@ class TestSpectrumCommand:
         _, out, _ = run_cli(args, capsys)
         rows = json.loads(out)
         assert json.loads(json.dumps(rows)) == rows
+
+
+    @pytest.mark.parametrize("q", ["1/300017", "1/8388593"])
+    def test_near_extinct_is_not_excluded(self, capsys, q):
+        # |kappa_eta| = 4.9e-11 and 6.2e-14: a float tolerance read both as 0
+        code, out, _ = run_cli(["spectrum", "--q", q], capsys)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert row["kind"] == "SingularContinuous"
+        assert 0 < float(row["kappa_eta_abs"]) < 1e-10
+        assert math.isfinite(float(row["alpha"]))
+
+    def test_extinct_stays_excluded(self, capsys):
+        # tiles (5,2): 2q(a-b)/(a+b) = 1 at q = 7/6, whose odd part is 3
+        code, out, _ = run_cli(["spectrum", "--a", "5", "--b", "2", "--q", "7/6"], capsys)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert (row["p"], row["kind"], row["alpha"]) == ("3", "Excluded", "")
+
+    def test_residue_exponent_at_large_primes(self, capsys):
+        # were a traceback (math domain error) and residue_alpha = nan
+        code, out, _ = run_cli(["spectrum", "--q", "131072/300017,3/300569"], capsys)
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert row["kind"] == "SingularContinuous"
+            assert -1.1 < float(row["residue_alpha"]) < -0.9
+
+    def test_prime_above_the_cap_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["spectrum", "--q", "1152921504606846976/2305843009213693951"], capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert "2305843009213693951" in err and str(rareclass.MAX_SPECTRUM_P) in err
+
+
+def _fresh_python(code):
+    """Run `code` in a fresh interpreter that imports tmqc from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImports:
+    def test_spectrum_does_not_import_numpy_ma(self):
+        out = _fresh_python(
+            "import contextlib, io, sys\n"
+            "from tmqc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['spectrum', '--q', '1/9,4/21']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert out.split() == ["False"]
+
+    def test_no_pool_machinery_at_start_up(self):
+        out = _fresh_python(
+            "import sys\n"
+            "import tmqc.cli\n"
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "print(tmqc.cli.ProcessPoolExecutor is ProcessPoolExecutor)\n"
+        )
+        assert out.split() == ["False", "False", "True"]
 
 
 class TestProfileCommand:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmqc import diffract, rareclass
+from tmqc import diffract, quadfield, rareclass
 from tmqc.rareclass import (
     coquet_decompose,
     coset_eigenvalue,
@@ -275,6 +275,39 @@ class TestTransferMatrix:
             rareclass.RarefiedVector(3, 1, (0, 0, 0))
 
 
+def _orbit_exponent_fsum(p, t):
+    """Test-local oracle for residue_exponent: the orbit t 2^j mod p walked
+    in Python, one math.sin per step, summed by math.fsum."""
+    s = rareclass.order_of_two(p)
+    terms, w = [], t % p
+    for _ in range(s):
+        r = min(w, p - w)
+        terms.append(math.log2(2.0 * math.sin(math.pi * r / p)))
+        w = 2 * w % p
+    return math.fsum(terms) / s
+
+
+def _cosets_by_scan(p):
+    """The set-and-sort scan over all residues that built the cosets before
+    the coset spectrum did."""
+    sub, x = [], 1
+    while True:
+        sub.append(x)
+        x = 2 * x % p
+        if x == 1:
+            break
+    seen, cosets = set(), []
+    for a in range(1, p):
+        if a not in seen:
+            cs = sorted(a * w % p for w in sub)
+            seen.update(cs)
+            cosets.append(tuple(cs))
+    return cosets
+
+
+_ODD_PRIMES_2000 = [p for p in quadfield.primes_up_to(2000) if p > 2]
+
+
 class TestSpectrumOfM:
     def test_p3_single_coset(self):
         eig = eigenvalues_explicit(3)
@@ -282,17 +315,24 @@ class TestSpectrumOfM:
         assert eig[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_product_is_p(self):
-        for p in (3, 5, 7, 11, 13, 17, 19, 23):
-            prod = np.prod(eigenvalues_explicit(p))
-            assert prod == pytest.approx(p, rel=1e-10)
+        for p in _ODD_PRIMES_2000:
+            sp = rareclass._coset_spectrum(p)
+            assert math.fsum(sp.log2_moduli.tolist()) == pytest.approx(math.log2(p), abs=1e-10)
+            eig = eigenvalues_explicit(p)
+            phase = 1 + 0j
+            for xi in eig:
+                phase *= xi / abs(xi)
+            assert phase == 1, p
+            assert complex(np.prod(eig)) == pytest.approx(p, rel=1e-9), p
 
     def test_explicit_matches_circulant_eigenvalue(self):
-        for p in (3, 5, 7, 11, 17):
-            explicit = sorted(abs(x) for x in eigenvalues_explicit(p))
-            via_mu = sorted(
-                abs(coset_eigenvalue(p, cs[0])) for cs in cosets_of_two(p)
-            )
-            assert via_mu == pytest.approx(explicit, rel=1e-9)
+        # exponents, not moduli: the oracle's own rounding reaches 3e-12
+        # relative in the modulus at p = 1523 (s = 1522)
+        for p in _ODD_PRIMES_2000:
+            sp = rareclass._coset_spectrum(p)
+            for row, lg in zip(sp.cosets.tolist(), sp.log2_moduli.tolist()):
+                oracle = math.log2(abs(coset_eigenvalue(p, min(row)))) / sp.s
+                assert abs(lg / sp.s - oracle) <= 1e-12, (p, min(row))
 
     def test_char_poly_moduli(self):
         for p in (3, 5, 11):
@@ -320,6 +360,80 @@ class TestSpectrumOfM:
         # constant on cosets
         assert residue_exponent(17, 9) == pytest.approx(b1, rel=1e-12)
         assert residue_exponent(17, 5) == pytest.approx(b3, rel=1e-12)
+
+
+class TestCosetSpectrum:
+    def test_cosets_match_the_residue_scan(self):
+        for p in _ODD_PRIMES_2000[:80]:
+            assert cosets_of_two(p) == _cosets_by_scan(p), p
+
+    def test_scaling_exponents_match_closed_forms(self):
+        for p in _ODD_PRIMES_2000:
+            rec = quadfield.prime_record(p)
+            if rec.beta is not None:
+                assert abs(scaling_exponents(p).beta - rec.beta) <= 1e-12, p
+
+    @pytest.mark.parametrize("p", [7, 23, 31, 47, 8191])
+    def test_order_is_deterministic(self, p):
+        first = eigenvalues_explicit(p)
+        rareclass._coset_spectrum.cache_clear()
+        assert eigenvalues_explicit(p) == first
+        sp = rareclass._coset_spectrum(p)
+        rows = [set(row) for row in sp.cosets.tolist()]
+        logs = sp.log2_moduli.tolist()
+        for i, row in enumerate(rows):
+            j = next(k for k, other in enumerate(rows) if p - min(row) in other)
+            # -1 is not in <2> for these p: every coset has a distinct conjugate
+            assert abs(i - j) == 1, (p, i, j)
+            assert logs[i] == logs[j]
+            assert (i < j) == (min(row) < min(rows[j]))
+
+    def test_residue_exponent_at_large_p21_primes(self):
+        # |mu_t| underflows at these p: the product route failed or gave nan
+        for p, t in ((300017, 131072), (300017, 1), (300569, 3), (600169, 5), (999809, 2)):
+            assert quadfield.classify_prime(p) is quadfield.PrimeClass.P21
+            beta = residue_exponent(p, t)
+            assert math.isfinite(beta)
+            assert abs(beta - _orbit_exponent_fsum(p, t)) <= 1e-12, (p, t)
+
+    @pytest.mark.parametrize("p, t, exact", [
+        # 40-digit mpmath orbit sums, rounded to 20 digits; t and -t share
+        # their centred residues, so they share the value
+        (131071, 1, -6.3986488636924205989),
+        (131071, 131070, -6.3986488636924205989),
+        (131071, 3, -5.0244684134349341700),
+        (8191, 8190, -4.4139326712035127669),
+        (524287, 1, -7.3933769821842077240),
+        (524287, 524286, -7.3933769821842077240),
+        (524287, 3, -5.9970073219225650026),
+    ])
+    def test_residue_exponent_to_a_few_ulps(self, p, t, exact):
+        # an uncentred sine loses about p ulps in a term: sin(pi w / p) at
+        # w near p (the orbits of -1) or sin(2 pi j / p) at j near p/2
+        assert abs(residue_exponent(p, t) - exact) <= 4e-15
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(n=st.integers(3, 10**6), u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_residue_exponent_matches_orbit_sum(self, n, u):
+        p = n
+        while p > 3 and not quadfield.is_prime(p):
+            p -= 1
+        t = 1 + int(u * (p - 1))
+        assert abs(residue_exponent(p, t) - _orbit_exponent_fsum(p, t)) <= 1e-12
+
+    def test_refuses_p_above_the_cap(self):
+        cap = rareclass.MAX_SPECTRUM_P
+        big = 2**61 - 1
+        for fn in (lambda: residue_exponent(big, 1), lambda: scaling_exponents(big),
+                   lambda: eigenvalues_explicit(big)):
+            with pytest.raises(ValueError, match=f"p={big}.*{cap}"):
+                fn()
+        assert cap >= 10**6
+
+    def test_rejects_composite(self):
+        for fn in (residue_exponent, lambda p, t: scaling_exponents(p)):
+            with pytest.raises(ValueError, match="odd prime"):
+                fn(21, 1)
 
 
 class TestProfiles:

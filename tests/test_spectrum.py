@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tmqc import diffract, rareclass, spectrum
 from tmqc.spectrum import (
@@ -73,6 +75,36 @@ class TestClassify:
         v = classify(Fraction(5, 3), params)
         assert v.kind is SpectralKind.EXCLUDED
         assert abs(v.kappa_eta) < 1e-12
+
+    def test_near_extinct_is_not_excluded(self, params21):
+        # |kappa_eta| = 4.9e-11: the float tolerance read this q as extinct
+        v = classify(Fraction(1, 300017), params21)
+        assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
+        assert 0 < abs(v.kappa_eta) < 1e-10
+        assert v.kappa_eta_boundary
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(a=st.fractions(1, 12, max_denominator=6), b=st.fractions(0, 12, max_denominator=6),
+           q=st.fractions(0, 4, max_denominator=60), on_grid=st.booleans(),
+           j=st.integers(1, 12))
+    def test_exact_extinction_matches_kappa_eta(self, a, b, q, on_grid, j):
+        # small denominators keep a nonzero |kappa_eta| far above rounding;
+        # on_grid puts 2q(a-b)/(a+b) at j/2: extinct for even j, and
+        # |kappa_eta| = 1 for odd j
+        a, b = max(a, b), min(a, b)
+        assume(0 < b < a)
+        if on_grid:
+            q = Fraction(j, 4) * (a + b) / (a - b)
+        assume(normalize_wavevector(q).p > 1)
+        params = QuasicrystalParams(a, b)
+        v = classify(q, params, horizon_exponent=10)
+        ke = abs(diffract.kappa_eta_closed(params.wave_vector(q), params))
+        assert (v.kind is SpectralKind.EXCLUDED) == (ke < 1e-12)
+        assert ke < 1e-12 or ke > 1e-6
+
+    def test_refuses_prime_above_the_coset_spectrum_cap(self, params21):
+        with pytest.raises(ValueError, match="2305843009213693951"):
+            classify(Fraction(1, 2**61 - 1), params21)
 
     def test_composite_dominant(self, params21):
         v = classify(Fraction(1, 15), params21)
