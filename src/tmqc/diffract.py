@@ -291,7 +291,13 @@ def _block_table(x, top: int) -> tuple:
             m, e = prod_g[-1]
             prod_g.append(_rescale(m * (2.0 * c) * rot, e))
             m, e = prod_t[-1]
-            prod_t.append(_rescale(m * (2j * s) * rot, e))
+            if r != 0 and abs(s) < _SMALLEST_NORMAL:
+                # r/den underflowed (or went subnormal): sin(pi x) = pi x to
+                # far below float precision, taken as (pi r 2^f / den) 2^-f
+                f = den.bit_length() - abs(r).bit_length() + 1
+                prod_t.append(_rescale(m * (2j * math.pi * ((r << f) / den)) * rot, e - f))
+            else:
+                prod_t.append(_rescale(m * (2j * s) * rot, e))
     return nums, den, prod_g, prod_t, steps
 
 
@@ -452,20 +458,21 @@ def coefficient_cm(m: int, k: float, params: QuasicrystalParams) -> complex:
 
 def kappa_closed(k: float, params: QuasicrystalParams) -> complex:
     """Even-index coefficient sum: the Fourier series evaluated at x = 0 and
-    x = 1/2 (midpoint regularization at the jump), averaged."""
+    x = 1/2 (midpoint regularization at the jump), averaged.  With
+    theta = 2 (a-b) k, that average ((1 + e^{-i theta})/2 + e^{-i theta/2})/2
+    is e^{-i theta/2} cos^2(theta/4)."""
     theta = float(params.alpha2) * k
-    base = (1.0 + cmath.exp(-1j * theta)) / 2.0
-    mid = cmath.exp(-0.5j * theta)
-    return (base + mid) / 2.0
+    return cmath.exp(-0.5j * theta) * math.cos(0.25 * theta) ** 2
 
 
 def kappa_eta_closed(k: float, params: QuasicrystalParams) -> complex:
-    """Odd-index coefficient sum; vanishes exactly when k (a-b) is a multiple
-    of 2 pi (the Bragg-extinction locus)."""
+    """Odd-index coefficient sum ((1 + e^{-i theta})/2 - e^{-i theta/2})/2
+    = -e^{-i theta/2} sin^2(theta/4), theta = 2 (a-b) k; it vanishes exactly
+    when k (a-b) is a multiple of 2 pi (the Bragg-extinction locus).  The
+    product form has no cancellation, so |kappa_eta| keeps its relative
+    precision near the locus, where the difference form lost every digit."""
     theta = float(params.alpha2) * k
-    base = (1.0 + cmath.exp(-1j * theta)) / 2.0
-    mid = cmath.exp(-0.5j * theta)
-    return (base - mid) / 2.0
+    return -cmath.exp(-0.5j * theta) * math.sin(0.25 * theta) ** 2
 
 
 @dataclass(frozen=True)

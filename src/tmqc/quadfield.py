@@ -33,6 +33,7 @@ __all__ = [
     "dirichlet_l_one",
     "class_number",
     "beta_for_class",
+    "residue_beta",
     "prime_record",
     "scan_size_increasing",
     "SizeIncreasingScan",
@@ -317,6 +318,29 @@ def beta_for_class(rec: PrimeClassRecord) -> float:
     (log p + 2 h log eps) / ((p-1) log 2) from the record's h and unit
     (`prime_record` has checked Hua's bound on the L-value behind h)."""
     return _closed_beta(rec.p, rec.cls, rec.h, rec.epsilon)
+
+
+def residue_beta(rec: PrimeClassRecord, t: int) -> float:
+    """beta_t = log2 |mu_t| / s at a residue t not divisible by p, for a P1,
+    P21 or P23 record, in O(log p).
+
+    P1 has one coset of <2> and P23 two conjugate ones, so every t has the
+    record's beta.  For P21, <2> is the subgroup of quadratic residues, and
+    the two coset moduli sqrt(p) eps^(+-h) multiply to p: a non-residue t
+    (chi_p(t) = -1 by Euler's criterion) carries the record's beta, bit for
+    bit, and a residue (log p - 2 h log eps) / ((p-1) log 2).
+    """
+    p = rec.p
+    if t % p == 0:
+        raise ValueError("t must be nonzero mod p")
+    if rec.beta is None:
+        raise ValueError(
+            f"no closed exponent formula for class {rec.cls.value}; "
+            "use rareclass.residue_exponent instead"
+        )
+    if rec.cls is PrimeClass.P21 and quadratic_character(t, p) == 1:
+        return (math.log(p) - 2.0 * rec.h * rec.regulator) / ((p - 1) * _LOG2)
+    return rec.beta
 
 
 def prime_record(p: int) -> PrimeClassRecord:

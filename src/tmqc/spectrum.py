@@ -99,12 +99,12 @@ def alpha_exact(p: int, h: int = 0) -> float:
     halving identity, so h only participates in the signature."""
     if h < 0:
         raise ValueError("h must be >= 0")
-    rec = quadfield.prime_record(p)
-    if rec.beta is not None:
-        beta = rec.beta
-    else:
-        beta = rareclass.scaling_exponents(p).beta
-    return 2.0 * beta - 1.0
+    return 2.0 * _headline_beta(quadfield.prime_record(p)) - 1.0
+
+
+def _headline_beta(rec: quadfield.PrimeClassRecord) -> float:
+    """beta(p): the record's closed form, else the coset spectrum's top."""
+    return rec.beta if rec.beta is not None else rareclass.scaling_exponents(rec.p).beta
 
 
 @dataclass(frozen=True)
@@ -119,39 +119,36 @@ class SpectralVerdict:
     k: float
     alpha: float | None
     kappa_eta: complex
-    exponent_source: str | None = None    # closed-form | composite-dominant | fitted
-    conjectural: bool = False
+    exponent_source: str | None = None    # closed-form | coset-spectrum | orbit-formula
+    conjectural: bool = False             # always False: every exponent is exact
     kappa_eta_boundary: bool = False      # 0 < |kappa_eta| < 1e-7
     residue_alpha: float | None = None    # coset-resolved exponent at t (primes)
-    fit: diffract.AlphaFit | None = None
 
 
-def _composite_split_3_5(p: int) -> tuple | None:
-    """(r1, r2) when p = 3^{r1} 5^{r2} with r1, r2 >= 1, else None."""
-    r1 = 0
-    while p % 3 == 0:
-        p //= 3
-        r1 += 1
-    r2 = 0
-    while p % 5 == 0:
-        p //= 5
-        r2 += 1
-    return (r1, r2) if p == 1 and r1 >= 1 and r2 >= 1 else None
+def _prime_betas(p: int, t: int) -> tuple:
+    """(beta(p), beta_t(p), source) for an odd prime p <= the coset-spectrum
+    limit: one `prime_record`, then the closed forms for P1, P21 and P23
+    (O(log p) for the residue), else the cached coset spectrum and the O(s)
+    orbit sum of t."""
+    rec = quadfield.prime_record(p)
+    if rec.beta is not None:
+        return rec.beta, quadfield.residue_beta(rec, t), "closed-form"
+    return _headline_beta(rec), rareclass.residue_exponent(p, t), "coset-spectrum"
 
 
-def classify(
-    q: Fraction,
-    params: QuasicrystalParams,
-    horizon_exponent: int = 20,
-) -> SpectralVerdict:
+def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     """Classify a rational normalized wave vector.
 
-    Extinction (kappa_eta = 0) is decided on the exact rational q.  For odd
-    prime p the exponent comes from the closed per-class formulas
-    (delegating to the coset spectrum outside the three classes); primes
-    above `rareclass.MAX_SPECTRUM_P` raise ValueError.
-    For p = 3^{r1} 5^{r2} the dominant-prime exponent log3/(2 log 2) is used.
-    Other composite p get a fitted exponent flagged as conjectural.
+    Extinction (kappa_eta = 0) is decided on the exact rational q.  Every
+    other odd part p gets the exact exponent alpha = 2 beta(p) - 1, with
+    beta(p) the largest orbit exponent max_t beta_t(p):
+
+      P1, P21, P23 primes   closed forms from `quadfield.prime_record`
+      Other primes          the cached coset spectrum (`rareclass`)
+      composites            `rareclass.max_orbit_exponent`
+
+    p above `rareclass.MAX_SPECTRUM_P` raises ValueError before any O(p)
+    work, prime or not.
 
     Diagnostics: for primes the coset-resolved exponent at the residue t is
     reported as `residue_alpha`; when t sits in a subdominant coset the
@@ -171,37 +168,20 @@ def classify(
         return SpectralVerdict(
             SpectralKind.EXCLUDED, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
         )
-    boundary = abs(ke) < _KAPPA_ETA_NEAR_ZERO
     p = nwv.p
+    # O(1), first: nothing factors p - 1 or builds an O(p) table above the cap
+    rareclass.check_spectrum_size(p)
     if quadfield.is_prime(p):
-        # first: it refuses p above the coset-spectrum limit before the
-        # closed forms factor p - 1
-        res_alpha = 2.0 * rareclass.residue_exponent(p, nwv.t % p) - 1.0
-        alpha = alpha_exact(p, nwv.h)
-        return SpectralVerdict(
-            SpectralKind.SINGULAR_CONTINUOUS, nwv.q, nwv.t, nwv.h, nwv.p, k,
-            alpha, ke,
-            exponent_source="closed-form",
-            kappa_eta_boundary=boundary,
-            residue_alpha=res_alpha,
-        )
-    if _composite_split_3_5(p) is not None:
-        beta = math.log(3.0) / (2.0 * math.log(2.0))
-        return SpectralVerdict(
-            SpectralKind.SINGULAR_CONTINUOUS, nwv.q, nwv.t, nwv.h, nwv.p, k,
-            2.0 * beta - 1.0, ke,
-            exponent_source="composite-dominant",
-            kappa_eta_boundary=boundary,
-        )
-    sizes = _prime_progression_sizes(p, horizon_exponent)
-    fit = diffract.fitted_alpha(k, sizes, params)
+        beta, res_beta, source = _prime_betas(p, nwv.t % p)
+        res_alpha = 2.0 * res_beta - 1.0
+    else:
+        beta, res_alpha, source = rareclass.max_orbit_exponent(p), None, "orbit-formula"
     return SpectralVerdict(
         SpectralKind.SINGULAR_CONTINUOUS, nwv.q, nwv.t, nwv.h, nwv.p, k,
-        fit.alpha, ke,
-        exponent_source="fitted",
-        conjectural=True,
-        kappa_eta_boundary=boundary,
-        fit=fit,
+        2.0 * beta - 1.0, ke,
+        exponent_source=source,
+        kappa_eta_boundary=abs(ke) < _KAPPA_ETA_NEAR_ZERO,
+        residue_alpha=res_alpha,
     )
 
 
@@ -213,15 +193,6 @@ def classify_real(k_over_scale: float, params: QuasicrystalParams) -> SpectralVe
         SpectralKind.ALMOST_SURE_NULL, None, None, None, None, k,
         -1.0, diffract.kappa_eta_closed(k, params),
     )
-
-
-def _prime_progression_sizes(p: int, horizon_exponent: int, per_octave: int = 4) -> list:
-    """Sizes l = p N + 1 with N log-spaced up to 2^horizon_exponent / p."""
-    n_top = max(16, ((1 << horizon_exponent) - 1) // p)
-    count = max(8, per_octave * int(math.log2(n_top / 4)))
-    # a set of Python ints, not np.unique, which imports numpy.ma on first use
-    ns = sorted({int(n) for n in np.round(np.logspace(math.log10(4), math.log10(n_top), count))})
-    return [int(p * n + 1) for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -186,6 +187,29 @@ class TestSpectrumCommand:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert "2305843009213693951" in err and str(rareclass.MAX_SPECTRUM_P) in err
+
+    @pytest.mark.parametrize("q", ["1/3000000021", "1/6917529027641081853"])
+    def test_composite_above_the_cap_is_usage_error(self, capsys, q):
+        # the fitted route printed alpha -1.0000076905621675 (below the least
+        # exponent, -1) for the first, and asked for a Fraction on the second
+        start = time.perf_counter()
+        code, out, err = run_cli(["spectrum", "--q", q], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert q[2:] in err and str(rareclass.MAX_SPECTRUM_P) in err
+
+    def test_composite_rows(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--q", "1/9,4/21,7/45"], capsys)
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert (row["source"], row["conjectural"], row["residue_alpha"]) == (
+                "orbit-formula", "False", "")
+            assert float(row["alpha"]) == pytest.approx(math.log2(3) - 1, abs=1e-14)
+
+    def test_horizon_flag_is_gone(self, capsys):
+        code, out, err = run_cli(["spectrum", "--q", "1/9", "--horizon", "12"], capsys)
+        assert (code, out) == (1, "")
+        assert "--horizon" in err
 
 
 def _fresh_python(code):
@@ -420,3 +444,67 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1
+
+
+def _main_outcome(argv):
+    """(exit code or SystemExit code, stdout, stderr) of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+_CONFIG = {"q": "1/3", "grid": "1/3", "sizes": "8", "limit": 2, "p": 3,
+           "horizon": 4, "resolution": 4}
+_TOP_LEVEL_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["-h", "spectrum"], ["--config", "CONF", "--help", "rarefy"],
+    ["frobnicate"], ["spec"], ["--config"],
+    ["--bogus", "spectrum", "--q", "1/3"], ["--bogus", "x", "spectrum"],
+    ["-x", "-h"], ["--", "spectrum", "--q", "1/3"], ["spectrum", "--q", "1/3", "extra"],
+    ["CONF"], ["--config", "CONF", "-h"], ["--conf=CONF", "spectrum"],
+    ["spectrum", "--config", "CONF"], ["--config", "MISSING", "spectrum"],
+]
+_SUBCOMMAND_ARGVS = [
+    argv for name in cli._SUBCOMMANDS for argv in (
+        [name, "-h"], [name], [name, "--nope"], [name, "--format", "xml"], [name, "--a"],
+        ["--config", "CONF", name], ["--config", "CONF", name, "-h"],
+        ["--config=CONF", name, "--limit", "x"],
+    )
+]
+
+
+class TestLazyParser:
+    """Building only the invoked subcommand's parser changes nothing a user
+    sees: help, usage errors, exit codes and output equal the full parser's,
+    byte for byte."""
+
+    @pytest.mark.parametrize("argv", _TOP_LEVEL_ARGVS + _SUBCOMMAND_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv, tmp_path, monkeypatch):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(_CONFIG))
+        argv = [a.replace("MISSING", str(tmp_path / "missing.json"))
+                .replace("CONF", str(conf)) for a in argv]
+        lazy = _main_outcome(argv)
+        monkeypatch.setattr(cli, "_invoked_command", lambda argv: None)
+        assert _main_outcome(argv) == lazy
+
+    def test_builds_one_subcommand(self, monkeypatch, capsys, tmp_path):
+        built = []
+        real = cli._build_parser
+
+        def recording(*args, **kwargs):
+            parser = real(*args, **kwargs)
+            built.append(sorted(parser.commands))
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        assert run_cli(["spectrum", "--q", "1/3"], capsys)[0] == 0
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"limit": 1}))
+        assert run_cli(["--config", str(conf), "sequence"], capsys)[0] == 0
+        assert built == [["spectrum"], ["sequence"], ["sequence"]]
+        for argv in (["-h"], [], ["frobnicate"], ["--config"]):
+            assert cli._invoked_command(argv) is None

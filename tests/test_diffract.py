@@ -279,6 +279,21 @@ class TestCoefficients:
             total = kappa_closed(k, params21) + kappa_eta_closed(k, params21)
             assert total == pytest.approx(expected, abs=1e-14)
 
+    def test_difference_identity(self, params21):
+        # kappa - kappa_eta is the series value at the midpoint, e^{-i theta/2}
+        for k in (0.3, 1.7, 4.1, 11.0):
+            theta = float(params21.alpha2) * k
+            diff = kappa_closed(k, params21) - kappa_eta_closed(k, params21)
+            assert diff == pytest.approx(cmath.exp(-0.5j * theta), abs=1e-14)
+
+    def test_kappa_eta_near_the_extinction_locus(self, params21):
+        # q = 1/3000000021, tiles (2,1): theta/4 = 2 pi / 9000000063; the
+        # difference form cancelled to 0.0
+        k = params21.wave_vector(Fraction(1, 3000000021))
+        ref = math.sin(2 * math.pi / 9000000063) ** 2
+        assert abs(kappa_eta_closed(k, params21)) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert abs(kappa_closed(k, params21)) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestBragg:
     def test_examples(self):
@@ -496,6 +511,24 @@ class TestBlockTable:
             etas = eta_sums_at_sizes(x, [3, 5, 4])
             assert list(etas) == [abs(eta_sum(l, float(x))) ** 2 / l for l in (3, 5, 4)]
             assert scaling_exponents_at_sizes(x, [3, 4]) == [_one_shot_alpha(l, x) for l in (3, 4)]
+
+    def test_underflowed_orbit_quotient_is_not_extinction(self):
+        # at x = 2^-1100 the first orbit quotients r/den underflow to 0.0;
+        # their sine factors read 0 and alpha_l -inf.  Against the leading
+        # term of S_l = sum_m (-2 pi i x)^m / m! sum_j j^m eta_j, with exact
+        # integer moments: the moments through m = 2 vanish at l = 1000
+        # (binary blocks of length >= 8), at l = 1002 the first does not
+        x = Fraction(1, 2**1100)
+        got = scaling_exponents_at_sizes(x, [1000, 1002, 1024])
+        assert all(math.isfinite(a) for a in got)
+        for l, alpha in zip((1000, 1002), got):
+            m, moment = next((m, mo) for m in range(8)
+                             if (mo := sum(j**m * tm_sign(j) for j in range(l))) != 0)
+            assert (l, m) in ((1000, 3), (1002, 1))
+            log_s = (m * (math.log(2 * math.pi) - 1100 * math.log(2)) + math.log(abs(moment))
+                     - math.lgamma(m + 1))
+            ref = (2 * log_s - math.log(l)) / math.log(l)
+            assert alpha == pytest.approx(ref, rel=1e-12)
 
     def test_refusals(self):
         for bad in ([1], [0], [64, 1], [-3]):

@@ -436,6 +436,32 @@ class TestCosetSpectrum:
                 fn(21, 1)
 
 
+class TestMaxOrbitExponent:
+    def test_primes_match_the_coset_spectrum(self):
+        for p in quadfield.primes_up_to(2000)[1:]:
+            assert rareclass.max_orbit_exponent(p) == pytest.approx(
+                scaling_exponents(p).beta, abs=1e-12), p
+
+    def test_composites_take_every_residue(self):
+        # t = p/3 reduces to 1/3, whose orbit tops the spectrum
+        for p in (9, 15, 21, 45, 75, 3 * 8191):
+            assert rareclass.max_orbit_exponent(p) == pytest.approx(
+                math.log(3) / (2 * math.log(2)), abs=1e-14)
+        # p = 25: the largest orbit exponent over residues of 5 and of 25
+        betas = [np.mean([math.log2(2 * math.sin(math.pi * (t * 2**j % 25) / 25))
+                          for j in range(20)]) for t in range(1, 25)]
+        assert rareclass.max_orbit_exponent(25) == pytest.approx(max(betas), abs=1e-13)
+
+    def test_refusals(self):
+        cap = rareclass.MAX_SPECTRUM_P
+        for p in (cap + 1, 3000000021):
+            with pytest.raises(ValueError, match=f"p={p}.*{cap}"):
+                rareclass.max_orbit_exponent(p)
+        for p in (1, 2, 10, -3):
+            with pytest.raises(ValueError, match="odd"):
+                rareclass.max_orbit_exponent(p)
+
+
 class TestProfiles:
     def test_period_factor(self):
         assert profile_period_factor(3) == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tmqc import diffract, rareclass, spectrum
+from tmqc import diffract, quadfield, rareclass, spectrum
 from tmqc.spectrum import (
     GrowthRegime,
     SpectralKind,
@@ -45,6 +45,30 @@ class TestNormalization:
             assert v.q == q
             assert v.p % 2 == 1
             assert math.gcd(v.t, (1 << v.h) * v.p) == 1
+
+
+def _order_of_two(p):
+    s, x = 1, 2 % p
+    while x != 1:
+        x, s = 2 * x % p, s + 1
+    return s
+
+
+def _orbit_max_fsum(p):
+    """max over 0 < t < p of the mean of log2|2 sin(pi w / p)| over the
+    doubling orbit of t, one orbit at a time."""
+    seen, best = set(), -math.inf
+    for t in range(1, p):
+        if t in seen:
+            continue
+        orbit, w = [], t
+        while w not in orbit:
+            orbit.append(w)
+            w = 2 * w % p
+        seen.update(orbit)
+        terms = [math.log2(2 * math.sin(math.pi * min(w, p - w) / p)) for w in orbit]
+        best = max(best, math.fsum(terms) / len(orbit))
+    return best
 
 
 class TestClassify:
@@ -97,7 +121,7 @@ class TestClassify:
             q = Fraction(j, 4) * (a + b) / (a - b)
         assume(normalize_wavevector(q).p > 1)
         params = QuasicrystalParams(a, b)
-        v = classify(q, params, horizon_exponent=10)
+        v = classify(q, params)
         ke = abs(diffract.kappa_eta_closed(params.wave_vector(q), params))
         assert (v.kind is SpectralKind.EXCLUDED) == (ke < 1e-12)
         assert ke < 1e-12 or ke > 1e-6
@@ -107,25 +131,89 @@ class TestClassify:
             classify(Fraction(1, 2**61 - 1), params21)
 
     def test_composite_dominant(self, params21):
-        v = classify(Fraction(1, 15), params21)
-        assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
-        assert v.exponent_source == "composite-dominant"
-        assert v.alpha == pytest.approx(2 * math.log(3) / (2 * math.log(2)) - 1, rel=1e-12)
-        assert not v.conjectural
+        # p = 3^a 5^b: the orbit of 1/3 (t = p/3) is the top of the spectrum
+        for q in (Fraction(1, 15), Fraction(7, 45), Fraction(2, 75)):
+            v = classify(q, params21)
+            assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
+            assert v.exponent_source == "orbit-formula"
+            assert v.alpha == pytest.approx(math.log(3) / math.log(2) - 1, abs=1e-14)
+            assert not v.conjectural
+            assert v.residue_alpha is None
 
-    def test_composite_other_is_fitted_and_flagged(self, params21):
-        v = classify(Fraction(1, 21), params21, horizon_exponent=16)
-        assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
-        assert v.exponent_source == "fitted"
-        assert v.conjectural
-        assert v.fit is not None
+    def test_composite_other_takes_the_orbit_formula(self, params21):
+        # the fitted density scan read -0.5256 at q = 1/9; the exact value is
+        # the t = 3 orbit, log2(3) - 1, which 1/21 shares through t = 7
+        for q in (Fraction(1, 9), Fraction(4, 21)):
+            v = classify(q, params21)
+            assert v.exponent_source == "orbit-formula"
+            assert v.alpha == pytest.approx(math.log2(3) - 1, abs=1e-14)
+            assert not v.conjectural
+        # no factor 3: a test-local fsum over every residue's orbit
+        for p in (25, 35, 55, 77, 85, 91, 125, 143, 187):
+            v = classify(Fraction(1, p), params21)
+            assert v.alpha == pytest.approx(2 * _orbit_max_fsum(p) - 1, abs=1e-13), p
+            assert v.residue_alpha is None
+
+    def test_composite_alpha_matches_the_circulant_spectrum(self, params21):
+        # every odd composite p <= 201: alpha against 2 log2|lambda_1| / s - 1
+        # from the FFT of the circulant's exact first column S(2^s)
+        for p in range(9, 202, 2):
+            if quadfield.is_prime(p):
+                continue
+            s = _order_of_two(p)
+            lam = np.fft.fft(np.asarray(rareclass._svec(p, 1 << s), dtype=float))
+            ref = 2 * math.log2(float(np.max(np.abs(lam)))) / s - 1
+            assert classify(Fraction(1, p), params21).alpha == pytest.approx(ref, abs=1e-9), p
+
+    def test_composite_above_the_cap_is_refused(self, params21):
+        for p in (3000000021, 6917529027641081853, rareclass.MAX_SPECTRUM_P + 1):
+            assert not quadfield.is_prime(p)
+            with pytest.raises(ValueError, match=str(rareclass.MAX_SPECTRUM_P)):
+                classify(Fraction(1, p), params21)
+
+    def test_residue_alpha_matches_the_orbit_sum(self, params21):
+        # one t per coset of <2> for every P1, P21 and P23 prime below 2000:
+        # t = 1, and for two-coset primes the least non-residue
+        checked = 0
+        for p in quadfield.primes_up_to(1999)[1:]:
+            rec = quadfield.prime_record(p)
+            if rec.beta is None:
+                continue
+            ts = [1]
+            if rec.cls is not quadfield.PrimeClass.P1:
+                ts.append(next(t for t in range(2, p) if quadfield.quadratic_character(t, p) == -1))
+            for t in ts:
+                v = classify(Fraction(t, p), params21)
+                assert v.exponent_source == "closed-form"
+                ref = 2 * rareclass.residue_exponent(p, t) - 1
+                assert v.residue_alpha == pytest.approx(ref, abs=1e-12), (p, t)
+                checked += 1
+        assert checked > 250
+
+    def test_dominant_coset_is_the_record_beta_bit_for_bit(self, params21):
+        for p in (17, 137, 9049, 199961):
+            rec = quadfield.prime_record(p)
+            assert rec.cls is quadfield.PrimeClass.P21
+            t = next(t for t in range(2, p) if quadfield.quadratic_character(t, p) == -1)
+            assert classify(Fraction(t, p), params21).residue_alpha == 2.0 * rec.beta - 1.0
+
+    def test_two_coset_primes_skip_the_orbit_sum(self, params21, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("O(p) orbit work on a closed-form route")
+
+        monkeypatch.setattr(rareclass, "_orbit_log2", refuse)
+        monkeypatch.setattr(rareclass, "_coset_spectrum", refuse)
+        for q in (Fraction(1, 199961), Fraction(3, 199961), Fraction(5, 7), Fraction(2, 3)):
+            v = classify(q, params21)
+            assert v.exponent_source == "closed-form"
+            assert math.isfinite(v.residue_alpha)
 
     def test_verdict_partition(self, params21):
         rng = np.random.default_rng(8)
         kinds = set()
         for _ in range(120):
             q = Fraction(int(rng.integers(1, 300)), int(rng.integers(1, 300)))
-            v = classify(q, params21, horizon_exponent=12)
+            v = classify(q, params21)
             assert v.kind in (
                 SpectralKind.BRAGG,
                 SpectralKind.SINGULAR_CONTINUOUS,
