@@ -6,15 +6,10 @@ matrix, and the prime classification through real quadratic fields.
 
 from .tmcore import (
     QuasicrystalParams,
-    SignedSequencePrefix,
-    PointSet,
-    AveragingSequence,
     digit_sum,
     tm_sign,
-    tm_prefix,
     point,
     gab,
-    canonical_approximant,
 )
 from .diffract import (
     fourier_sum,

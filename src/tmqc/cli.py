@@ -105,6 +105,12 @@ def _parse_grid(spec: str) -> list:
     return [_parse_fraction(tok) for tok in spec.split(",") if tok.strip()]
 
 
+# a rational q is exact in its phases at any size (`diffract.density_at_q`);
+# sizes are capped like profile horizons, so every l is a signed 64-bit
+# integer for whatever reads the table
+MAX_SIZE = 1 << 62
+
+
 def _parse_sizes(spec: str) -> list:
     try:
         sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
@@ -112,10 +118,8 @@ def _parse_sizes(spec: str) -> list:
         raise UsageError(f"bad size list: {spec!r}") from exc
     if any(s < 1 for s in sizes):
         raise UsageError("sizes must be positive")
-    if any(s >= diffract.FLOAT_ORBIT_LIMIT for s in sizes):
-        # densities take the wave vector as a float, whose doubling orbit
-        # resolves sizes below 2^53 only
-        raise UsageError(f"sizes must be below 2^53 = {diffract.FLOAT_ORBIT_LIMIT}")
+    if any(s > MAX_SIZE for s in sizes):
+        raise UsageError(f"sizes must be at most 2^62 = {MAX_SIZE}")
     return sizes
 
 
@@ -132,9 +136,16 @@ def _emit(columns: list, rows: list, fmt: str, out_path: str | None) -> None:
         writer.writerow(columns)
         writer.writerows(rows)
         text = buf.getvalue()
+    elif rows:
+        # the indent=2 layout of json.dumps, written by hand around rows that
+        # the C encoder writes one at a time: its item separator carries a
+        # row's inner indentation (every value is a scalar)
+        encode = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
+        text = "[\n  {\n    " + "\n  },\n  {\n    ".join(
+            encode(dict(zip(columns, row)))[1:-1] for row in rows
+        ) + "\n  }\n]\n"
     else:
-        records = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
+        text = "[]\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -157,14 +168,12 @@ def _cmd_sequence(args) -> tuple:
 
 
 def _diffract_worker(params, q: Fraction, sizes: list) -> list:
-    """The rows of one wave vector: one block table for the densities and
-    one for the exponents."""
-    k = params.wave_vector(q)
-    dens = diffract.density_at_sizes(k, sizes, params)
-    alphas = diffract.scaling_exponents_at_sizes(q, [max(l, 2) for l in sizes])
+    """The rows of one wave vector: density and alpha_l from one exact
+    block table and one walk per size."""
+    q_text, k = str(q), params.wave_vector(q)
     return [
-        (str(q), k, l, _fmt_density(float(nu)), None if l < 2 or math.isinf(al) else al)
-        for l, nu, al in zip(sizes, dens, alphas)
+        (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
+        for l, (nu, al) in zip(sizes, diffract.density_at_q(q, sizes, params))
     ]
 
 

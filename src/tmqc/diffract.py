@@ -12,10 +12,14 @@ with alpha in (-1,1) is the singular-continuous signature, and decay like
 With unit weights nu_l reduces to two sums over m < L ~ l/2 of z^m and
 eta_m z^m, z = exp(-i k (a+b)); both split over the binary blocks of L into
 products over its digits, so a density costs O(log l) operations instead of
-an l-term scan.  Weighted combs keep the vectorized scan.
+an l-term scan.  For a rational wave vector (`density_at_q`) the products are
+built on the exact Fraction and every phase is reduced as a rational first.
+Weighted combs keep the vectorized scan.
 
 Sign-sequence exponential sums S_l(x) = sum_{j<l} eta_j exp(-2 pi i j x) use
-the same block products.  At l = 2^n they collapse to the classical product
+the same block products, at 2x: S_{2L}(x) = (1 - e^{-2 pi i x}) T_L(2x), so
+one walk per size gives a wave vector's density and its exponent alpha_l.
+At l = 2^n they collapse to the classical product
 
     |S_{2^n}(x)|^2 = 2^{2n} prod_{j<n} sin^2(pi 2^j x),
 
@@ -41,19 +45,20 @@ import numpy as np
 from .tmcore import QuasicrystalParams, sign_array, tm_sign
 
 __all__ = [
-    "ApproximantValue",
     "FourierCoefficients",
     "AlphaFit",
     "ExtinctionError",
     "fourier_sum",
     "approximant_density",
     "density_at_sizes",
+    "density_at_q",
     "eta_sum",
     "eta_sums_at_sizes",
     "riesz_product",
     "coefficient_cm",
     "kappa_pair",
     "kappa_eta_closed",
+    "kappa_eta_at_q",
     "kappa_closed",
     "is_bragg",
     "scaling_exponent_alpha",
@@ -105,19 +110,6 @@ def fourier_sum(l: int, k: float, params: QuasicrystalParams, weights=None) -> c
     return complex(sr, si)
 
 
-@dataclass(frozen=True)
-class ApproximantValue:
-    """nu_l(k): the l-th approximant density at wave vector k."""
-
-    l: int
-    k: float
-    density: float
-
-    def __post_init__(self) -> None:
-        if self.density < 0:
-            raise ValueError("densities are nonnegative by construction")
-
-
 def approximant_density(l: int, k: float, params: QuasicrystalParams, weights=None) -> float:
     """(1/l) |fourier_sum|^2."""
     if l < 1:
@@ -133,17 +125,13 @@ def density_at_sizes(
     chunk: int = 1 << 20,
 ) -> np.ndarray:
     """Approximant densities nu_l(k) at several truncation sizes, in caller
-    order.
+    order, for a wave vector given as a float.
 
-    With unit weights each size costs O(log l).  Splitting n by parity,
-    f(2m) = m(a+b) and f(2m+1) = m(a+b) + c + d eta_m give
-
-        sum_{n<2L} e^{-ik f(n)} = (1 + e^{-ikc} cos kd) G_L(z) - i e^{-ikc} sin(kd) T_L(z)
-
-    with c = (a+b)/2, d = (a-b)/2 and z = e^{-ik(a+b)}; G_L and T_L come from
-    one `_block_table` built for the largest size.  The float k carries the
-    doubling orbit of z exactly only for l < 2^53, so larger sizes raise
-    ValueError.
+    With unit weights each size costs O(log l): the block route of
+    `density_at_q`, with z, e^{-ikc}, cos kd and sin kd taken from the
+    float k.  The float k carries the doubling orbit of z exactly only for
+    l < 2^53, so larger sizes raise ValueError; a rational wave vector goes
+    through `density_at_q`, whose phases are exact at every size.
 
     `weights`, when given, is an array indexed by n-1 covering max(sizes);
     weighted densities are one cumulative O(max(sizes)) pass over n,
@@ -159,19 +147,67 @@ def density_at_sizes(
     x = k * float(params.a + params.b) / (2.0 * math.pi)  # z = e^{-2 pi i x}
     _check_float_orbit(x, max(caller_sizes))
     kd = k * float((params.a - params.b) / 2)
-    rot = cmath.exp(-1j * k * float(params.alpha1))
-    even_w = 1.0 + rot * math.cos(kd)
-    odd_w = -1j * rot * math.sin(kd)
-    # n < 2L covers n = 0..l for odd l and n = 0..l-1 for even l
-    table = _block_table(x, ((max(caller_sizes) + 1) // 2).bit_length() - 1)
-    out = np.empty(len(caller_sizes))
-    for idx, l in enumerate(caller_sizes):
-        g, t, z_half = _walk_blocks(table, (l + 1) // 2)
-        total = even_w * _unscale(g) + odd_w * _unscale(t) - 1.0  # drop n = 0
-        if l % 2 == 0:
-            total += z_half  # n = l: f(l) = (l/2)(a+b)
-        out[idx] = abs(total) ** 2 / l
+    w = cmath.exp(-1j * k * float(params.alpha1))
+    cos_kd, sin_kd = math.cos(kd), math.sin(kd)
+    table = _block_table(x, (max(caller_sizes) // 2).bit_length() - 1)
+    return np.array([
+        _density(_walk_size(table, l), l, w, cos_kd, sin_kd) for l in caller_sizes
+    ])
+
+
+def density_at_q(q, sizes: Sequence[int], params: QuasicrystalParams) -> list:
+    """(nu_l(k), alpha_l(q)) for each size l, in caller order, at the
+    rational wave vector k = 4 pi q/(a+b), from one exact block table.
+
+    Splitting n by parity, f(2m) = m(a+b) and f(2m+1) = m(a+b) + c + d eta_m
+    (c = (a+b)/2, d = (a-b)/2) give, with L = floor(l/2),
+
+        sum_{n<2L} e^{-ik f(n)} = (1 + w cos kd) G_L - i w sin(kd) T_L,
+
+    where w = e^{-ikc} = e^{-2 pi i q}, kd = 2 pi q (a-b)/(a+b), and G_L,
+    T_L are the block sums at z = e^{-ik(a+b)} = e^{-2 pi i (2q)}; the
+    density adds n = 2L (and n = 2L+1 for odd l) and drops n = 0.  Since
+    eta_{2m} = eta_m and eta_{2m+1} = -eta_m, the same walk gives the sign
+    sum S_l(q) = (1 - w) T_L (+ eta_L z^L for odd l), so
+    |S_{2L}(q)|^2 = 4 sin^2(pi q) |T_L|^2, and at l = 2^n T_L is one
+    product entry of the table.
+
+    The table is built on the Fraction 2q, and w, cos kd and sin kd come
+    from the reduced fractions frac(q) and frac(q (a-b)/(a+b)), so the
+    phases are exact at every size.  alpha_l is -inf where S_l vanishes
+    and None at l = 1; a density beyond the float range raises ValueError.
+    """
+    q = Fraction(q)
+    caller_sizes = [int(s) for s in sizes]
+    if not caller_sizes:
+        return []
+    if min(caller_sizes) < 1:
+        raise ValueError("sizes must be >= 1")
+    table = _block_table(2 * q, (max(caller_sizes) // 2).bit_length() - 1)
+    w, one_minus_w = _turn(q)
+    (r,), den = _dyadic_fracs(q * (params.a - params.b) / (params.a + params.b), 1)
+    (s, f), c = _sin_cos_pi(r, den)
+    s = math.ldexp(s, f)
+    cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c  # exactly 0 where they vanish
+    out = []
+    for l in caller_sizes:
+        walk = _walk_size(table, l)
+        try:
+            nu = _density(walk, l, w, cos_kd, sin_kd)
+        except OverflowError:
+            raise ValueError(f"nu_l at l = {l} exceeds the float range") from None
+        alpha = None if l == 1 else _exponent(_sign_sum(walk, l, one_minus_w), l)
+        out.append((nu, alpha))
     return out
+
+
+def _density(walk: tuple, l: int, w: complex, cos_kd: float, sin_kd: float) -> float:
+    """nu_l from `_walk_size` at l, with w = e^{-ikc} (see `density_at_q`)."""
+    g, t, z_half, eta = walk
+    total = (1.0 + w * cos_kd) * _unscale(g) - 1j * w * sin_kd * _unscale(t) - 1.0 + z_half
+    if l % 2:  # n = l = 2L + 1: f(l) = L(a+b) + c + d eta_L
+        total += z_half * w * complex(cos_kd, -eta * sin_kd)
+    return abs(total) ** 2 / l
 
 
 def _weighted_density_scan(k, sizes, params, weights, chunk) -> np.ndarray:
@@ -210,7 +246,7 @@ def _weighted_density_scan(k, sizes, params, weights, chunk) -> np.ndarray:
 
 FLOAT_ORBIT_LIMIT = 1 << 53
 _SMALLEST_NORMAL = sys.float_info.min
-_LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def _dyadic_fracs(x, n: int) -> tuple:
@@ -265,11 +301,40 @@ def _unscale(pair: tuple) -> complex:
     return pair[0] * math.ldexp(1.0, pair[1])
 
 
+def _sin_cos_pi(r: int, den: int) -> tuple:
+    """((s, f), c): sin(pi psi) = s 2^f and c = cos(pi psi) for
+    psi = r/den in (-1/2, 1/2].
+
+    c is taken as sin(pi (1/2 - |psi|)), exactly 0 at psi = 1/2.  Where
+    r/den underflows or goes subnormal, sin(pi psi) = pi psi to far below
+    float precision, taken as (pi r 2^f / den) 2^-f, so the sine is 0 only
+    at r = 0.
+    """
+    s = math.sin(math.pi * (r / den))
+    c = math.sin(math.pi * ((den - 2 * abs(r)) / (2 * den)))
+    if r != 0 and abs(s) < _SMALLEST_NORMAL:
+        f = den.bit_length() - abs(r).bit_length() + 1
+        return (math.pi * ((r << f) / den), -f), c
+    return (s, 0), c
+
+
+def _turn(x) -> tuple:
+    """(w, 1 - w) for w = e^{-2 pi i x}, from the exact frac(x); 1 - w is a
+    (mantissa, exponent) pair: 2i sin(theta) e^{-i theta} with
+    theta = pi frac(x), the T factor of `_block_table` one bit below its
+    first, so it is 0 only at integer x and keeps its relative precision
+    where frac(x) is tiny."""
+    (r,), den = _dyadic_fracs(x, 1)
+    (s, f), c = _sin_cos_pi(r, den)
+    rot = complex(c, -math.ldexp(s, f))
+    return rot * rot, _rescale(2j * s * rot, f)
+
+
 def _block_table(x, top: int) -> tuple:
     """The per-frequency part of the block sums for z = e^{-2 pi i x}, bits
-    0..top: (nums, den, prod_g, prod_t, steps).
+    0..top: (prod_g, prod_t, steps).
 
-    nums/den is the doubling orbit psi_i = frac(2^i x) in (-1/2, 1/2]
+    They are read off the doubling orbit psi_i = frac(2^i x) in (-1/2, 1/2]
     (`_dyadic_fracs`, exact).  With theta_i = pi psi_i, prod_g[j] and
     prod_t[j] are the (mantissa, exponent) products over i < j of
     2 cos(theta_i) e^{-i theta_i} = 1 + z^{2^i} and
@@ -283,22 +348,15 @@ def _block_table(x, top: int) -> tuple:
     prod_g, prod_t = [(1 + 0j, 0)], [(1 + 0j, 0)]  # products over i < j
     steps = []  # z^{2^i}
     for i, r in enumerate(nums):  # psi_i = r / den
-        s = math.sin(math.pi * (r / den))
-        c = math.sin(math.pi * ((den - 2 * abs(r)) / (2 * den)))
-        rot = complex(c, -s)  # e^{-i theta}
+        (s, f), c = _sin_cos_pi(r, den)
+        rot = complex(c, -math.ldexp(s, f))  # e^{-i theta}
         steps.append(rot * rot)
         if i < top:
             m, e = prod_g[-1]
             prod_g.append(_rescale(m * (2.0 * c) * rot, e))
             m, e = prod_t[-1]
-            if r != 0 and abs(s) < _SMALLEST_NORMAL:
-                # r/den underflowed (or went subnormal): sin(pi x) = pi x to
-                # far below float precision, taken as (pi r 2^f / den) 2^-f
-                f = den.bit_length() - abs(r).bit_length() + 1
-                prod_t.append(_rescale(m * (2j * math.pi * ((r << f) / den)) * rot, e - f))
-            else:
-                prod_t.append(_rescale(m * (2j * s) * rot, e))
-    return nums, den, prod_g, prod_t, steps
+            prod_t.append(_rescale(m * (2j * s) * rot, e + f))
+    return prod_g, prod_t, steps
 
 
 def _walk_blocks(table: tuple, big_l: int) -> tuple:
@@ -309,7 +367,7 @@ def _walk_blocks(table: tuple, big_l: int) -> tuple:
     T_L.  G_L and T_L are (mantissa, exponent) pairs, value =
     mantissa * 2^exponent, so no L overflows or underflows.
     """
-    _, _, prod_g, prod_t, steps = table
+    prod_g, prod_t, steps = table
     g = t = (0j, 0)
     z_off, eta_off = 1 + 0j, 1  # z^o and eta_o at the current block's offset
     for j in range(big_l.bit_length() - 1, -1, -1):
@@ -329,6 +387,35 @@ def _block_sums(x, big_l: int) -> tuple:
     return _walk_blocks(_block_table(x, big_l.bit_length() - 1), big_l)
 
 
+def _walk_size(table: tuple, l: int) -> tuple:
+    """(G_L, T_L, z^L, eta_L) at L = floor(l/2): the walk that serves both
+    the density and the sign sum at size l (`density_at_q`)."""
+    half = l // 2
+    return (*_walk_blocks(table, half), -1 if bin(half).count("1") & 1 else 1)
+
+
+def _sign_sum(walk: tuple, l: int, one_minus_w: tuple) -> tuple:
+    """S_l(x) as a (mantissa, exponent) pair from `_walk_size` at l on the
+    table at 2x, with one_minus_w = 1 - e^{-2 pi i x} (`_turn`):
+    S_{2L}(x) = (1 - e^{-2 pi i x}) T_L(2x), and odd l adds the last term
+    eta_{2L} e^{-2 pi i 2L x} = eta_L z^L."""
+    _, (m, e), z_half, eta = walk
+    s = (one_minus_w[0] * m, one_minus_w[1] + e)
+    if l % 2:
+        s = _add_scaled(s, (eta * z_half, 0))
+    return s
+
+
+def _exponent(s: tuple, l: int) -> float:
+    """alpha_l from S_l as a (mantissa, exponent) pair: l^{alpha_l} =
+    |S_l|^2 / l, -inf where S_l = 0."""
+    m, e = s
+    if m == 0:
+        return -math.inf
+    log_l = math.log(l)
+    return (2.0 * (math.log(abs(m)) + e * _LOG_2) - log_l) / log_l
+
+
 # ---------------------------------------------------------------------------
 # sign-sequence exponential sums
 # ---------------------------------------------------------------------------
@@ -346,10 +433,10 @@ def eta_sum(l: int, x: float) -> complex:
 def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     """|S_l(x)|^2 / l at several sizes l, in caller order; O(log l) each.
 
-    S_l(x) is the block sum T_l, read from one `_block_table` built for the
-    largest size.  x is a float or a Fraction: a Fraction's doubling orbit is
-    exact at every l, a float's only for l < 2^53, so larger sizes with a
-    float x raise ValueError.
+    S_l(x) comes from one `_block_table` at 2x built for the largest size
+    (`_sign_sum`; doubling a float is exact).  x is a float or a Fraction:
+    a Fraction's doubling orbit is exact at every l, a float's only for
+    l < 2^53, so larger sizes with a float x raise ValueError.
     """
     caller_sizes = [int(s) for s in sizes]
     if not caller_sizes:
@@ -357,13 +444,14 @@ def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
     _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(x, max(caller_sizes).bit_length() - 1)
+    table = _block_table(2 * x, (max(caller_sizes) // 2).bit_length() - 1)
+    one_minus_w = _turn(x)[1]
     out = np.empty(len(caller_sizes))
     for idx, l in enumerate(caller_sizes):
-        t, e = _walk_blocks(table, l)[1]
+        m, e = _sign_sum(_walk_size(table, l), l, one_minus_w)
         top = l.bit_length() - 1
-        try:  # |t|^2 2^{2e} / l with l = 2^top * (l / 2^top)
-            out[idx] = math.ldexp(abs(t) ** 2, 2 * e - top) / (l / (1 << top))
+        try:  # |m|^2 2^{2e} / l with l = 2^top * (l / 2^top)
+            out[idx] = math.ldexp(abs(m) ** 2, 2 * e - top) / (l / (1 << top))
         except OverflowError:
             raise ValueError(f"|S_l|^2 / l at l = {l} exceeds the float range") from None
     return out
@@ -397,11 +485,11 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
     """alpha_l(x) for several sizes l >= 2, in caller order, as floats.
 
     Returns -inf (the explicit extinction marker) where the sum vanishes.
-    One `_block_table` is built for the largest size: powers of two read
-    its orbit numerators in the product form, in log space; other l walk
-    its blocks.  Both cost O(log l) per size and never overflow, so l may be
-    astronomically large when x is a Fraction (exact orbit).  A float x is
-    limited to l < 2^53 (ValueError beyond).
+    One `_block_table` at 2x is built for the largest size and walked once
+    per size (`_sign_sum`); at l = 2^n the walk reads one product entry,
+    and a zero factor makes it exactly 0.  O(log l) per size, never
+    overflowing, so l may be astronomically large when x is a Fraction
+    (exact orbit).  A float x is limited to l < 2^53 (ValueError beyond).
     """
     caller_sizes = [int(s) for s in sizes]
     if not caller_sizes:
@@ -409,32 +497,9 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
     if min(caller_sizes) < 2:
         raise ValueError("l must be >= 2")
     _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(x, max(caller_sizes).bit_length() - 1)
-    return [_alpha_from_table(table, l) for l in caller_sizes]
-
-
-def _alpha_from_table(table: tuple, l: int) -> float:
-    """alpha_l from a `_block_table` that reaches the top bit of l."""
-    n = l.bit_length() - 1
-    if l == 1 << n:
-        log_sq = 2.0 * n * math.log(2.0)  # log 2^{2n}
-        nums, den = table[0], table[1]
-        for r in nums[:n]:
-            s = abs(math.sin(math.pi * (r / den)))
-            if s < _SMALLEST_NORMAL:
-                if r == 0:
-                    return -math.inf
-                # r/den underflowed (or went subnormal); sin(pi x) = pi x
-                # to far below float precision there
-                log_sq += 2.0 * (_LOG_PI + math.log(abs(r)) - math.log(den))
-                continue
-            log_sq += 2.0 * math.log(s)
-        return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
-    t, e = _walk_blocks(table, l)[1]
-    if t == 0:
-        return -math.inf
-    log_sq = 2.0 * (math.log(abs(t)) + e * math.log(2.0))
-    return (log_sq - math.log(l)) / math.log(l)
+    table = _block_table(2 * x, (max(caller_sizes) // 2).bit_length() - 1)
+    one_minus_w = _turn(x)[1]
+    return [_exponent(_sign_sum(_walk_size(table, l), l, one_minus_w), l) for l in caller_sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +538,20 @@ def kappa_eta_closed(k: float, params: QuasicrystalParams) -> complex:
     precision near the locus, where the difference form lost every digit."""
     theta = float(params.alpha2) * k
     return -cmath.exp(-0.5j * theta) * math.sin(0.25 * theta) ** 2
+
+
+def kappa_eta_at_q(q, params: QuasicrystalParams) -> complex:
+    """`kappa_eta_closed` at the rational wave vector k = 4 pi q/(a+b), from
+    the exact phase: theta/4 = pi u with u = 2q(a-b)/(a+b), reduced mod 1
+    as a Fraction before any float is formed.  The float k carries an
+    absolute phase error of about u |theta|, which near the extinction
+    locus at large |q| is larger than |kappa_eta| itself; this form keeps
+    its relative precision at every q."""
+    u = 2 * Fraction(q) * (params.a - params.b) / (params.a + params.b)
+    (r,), den = _dyadic_fracs(u, 1)
+    (s, f), c = _sin_cos_pi(r, den)
+    s = math.ldexp(s, f)
+    return -complex(c, -s) ** 2 * (s * s)  # -e^{-i theta/2} sin^2(theta/4)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,10 @@ def _prime_betas(p: int, t: int) -> tuple:
 def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     """Classify a rational normalized wave vector.
 
-    Extinction (kappa_eta = 0) is decided on the exact rational q.  Every
+    Extinction (kappa_eta = 0) is decided on the exact rational q, and
+    kappa_eta itself is computed from its reduced phase
+    (`diffract.kappa_eta_at_q`), so |kappa_eta| and `kappa_eta_boundary`
+    keep their relative precision at every |q|.  Every
     other odd part p gets the exact exponent alpha = 2 beta(p) - 1, with
     beta(p) the largest orbit exponent max_t beta_t(p):
 
@@ -157,7 +160,7 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     """
     nwv = normalize_wavevector(Fraction(q))
     k = nwv.physical_k(params)
-    ke = diffract.kappa_eta_closed(k, params)
+    ke = diffract.kappa_eta_at_q(nwv.q, params)
     if nwv.p == 1:
         return SpectralVerdict(
             SpectralKind.BRAGG, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
@@ -380,8 +383,7 @@ def normalized_densities(
     sizes: Sequence[int],
 ) -> np.ndarray:
     """nu_l(k)/l^alpha over the given sizes, for extinction scans."""
-    k = params.wave_vector(q)
-    dens = diffract.density_at_sizes(k, sizes, params)
+    dens = np.array([nu for nu, _ in diffract.density_at_q(q, sizes, params)])
     return dens / np.asarray([float(s) for s in sizes]) ** alpha
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -9,10 +10,11 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from tmqc import cli, rareclass
+from tmqc import cli, diffract, rareclass, tmcore
 
 
 def run_cli(args, capsys):
@@ -60,6 +62,33 @@ class TestDeterminism:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ["diffract", "--grid", "0,1/3,1/4", "--sizes", "1,64,255"],
+        ["spectrum", "--q", "1/3,1/8,5/3,3/17"],
+        ["rarefy", "--p", "5", "--limit", "40"],
+        ["profile", "--p", "7", "--horizon", "8", "--resolution", "8"],
+        ["marcinkiewicz", "--horizon", "6"],
+        ["sequence", "--limit", "3"],
+        ["diffract", "--grid", "", "--sizes", "4"],
+    ])
+    def test_json_is_the_indent_2_dump(self, capsys, argv):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+
+    def test_json_rows_with_awkward_values(self, tmp_path):
+        columns = ["a", 'b "q"', "\u00e9,\n    x"]
+        rows = [(1, "x,\n    y", None), (-0.0, True, 1e300), (2**70, "\u00fc\t", 0.1)]
+        path = tmp_path / "out.json"
+        for some in (rows, rows[:1], []):
+            cli._emit(columns, some, "json", str(path))
+            records = [dict(zip(columns, row)) for row in some]
+            expected = json.dumps(records, indent=2, allow_nan=False) + "\n"
+            assert path.read_text(encoding="utf-8") == expected
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                cli._emit(columns, [(1, "x", bad)], "json", None)
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out, _ = run_cli(
@@ -99,16 +128,41 @@ class TestDiffract:
         header, rows = parse_csv(out)
         assert rows == []
 
-    def test_sizes_from_2_53_are_usage_errors(self, capsys):
-        # densities take k as a float, exact only below 2^53: exit 1, no traceback
+    def test_sizes_above_2_62_are_usage_errors(self, capsys):
+        # a rational q is exact in its phases at every size; the cap keeps l
+        # a 64-bit integer: exit 1, no traceback
         for grid in ("", "1/3"):
             code, out, err = run_cli(
-                ["diffract", "--grid", grid, "--sizes", f"64,{1 << 53}"], capsys
+                ["diffract", "--grid", grid, "--sizes", f"64,{(1 << 62) + 1}"], capsys
             )
             assert code == 1 and out == ""
-            assert "2^53" in err
-        code, _, _ = run_cli(["diffract", "--grid", "1/3", "--sizes", str((1 << 53) - 1)], capsys)
+            assert "2^62" in err
+        code, _, _ = run_cli(["diffract", "--grid", "1/3", "--sizes", str(1 << 62)], capsys)
         assert code == 0
+
+    def test_large_sizes_match_the_exact_block_sums(self, capsys):
+        # the float-k route was 7.4% off at 2^50 + 1 and printed 1.1e-16 for
+        # 2.96e8 at 2^53 - 1; the reference sums n <= l by the blocks of
+        # (l + 1) // 2 at the exact z frequency 2/3, the CLI's route by those
+        # of l // 2 plus the last term
+        sizes = [(1 << 50) + 1, (1 << 53) - 1, 1 << 60]
+        code, out, _ = run_cli(
+            ["diffract", "--grid", "1/3", "--sizes", ",".join(map(str, sizes))], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        k = tmcore.QuasicrystalParams(2, 1).wave_vector(Fraction(1, 3))
+        rot, kd = cmath.exp(-1.5j * k), 0.5 * k
+        for l, row in zip(sizes, rows):
+            g, t, z_half = diffract._block_sums(Fraction(2, 3), (l + 1) // 2)
+            total = ((1 + rot * math.cos(kd)) * diffract._unscale(g)
+                     - 1j * rot * math.sin(kd) * diffract._unscale(t) - 1)
+            if l % 2 == 0:
+                total += z_half
+            assert float(row["density"]) == pytest.approx(abs(total) ** 2 / l, rel=1e-9)
+            (m, e) = diffract._block_sums(Fraction(1, 3), l)[1]
+            alpha = (2 * (math.log(abs(m)) + e * math.log(2)) - math.log(l)) / math.log(l)
+            assert float(row["alpha_l"]) == pytest.approx(alpha, abs=1e-12)
+        assert float(rows[1]["density"]) == pytest.approx(2.96381e8, rel=1e-5)
 
     def test_parallel_jobs_match_serial(self, capsys):
         base = ["diffract", "--grid", "0,1/3,1/5,1/7", "--sizes", "128,512"]
@@ -163,6 +217,15 @@ class TestSpectrumCommand:
         assert row["kind"] == "SingularContinuous"
         assert 0 < float(row["kappa_eta_abs"]) < 1e-10
         assert math.isfinite(float(row["alpha"]))
+
+    def test_kappa_eta_at_large_q(self, capsys):
+        # the float k printed 7.27e-8; frac(2q/3) = 2/900051 exactly
+        q = Fraction(1500000000000) + Fraction(1, 300017)
+        code, out, _ = run_cli(["spectrum", "--q", str(q)], capsys)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert float(row["kappa_eta_abs"]) == pytest.approx(
+            math.sin(2 * math.pi / 900051) ** 2, rel=1e-9, abs=0.0)
 
     def test_extinct_stays_excluded(self, capsys):
         # tiles (5,2): 2q(a-b)/(a+b) = 1 at q = 7/6, whose odd part is 3

@@ -15,6 +15,7 @@ from tmqc.diffract import (
     ExtinctionError,
     approximant_density,
     coefficient_cm,
+    density_at_q,
     density_at_sizes,
     eta_sum,
     eta_sums_at_sizes,
@@ -22,6 +23,7 @@ from tmqc.diffract import (
     fourier_sum,
     is_bragg,
     kappa_closed,
+    kappa_eta_at_q,
     kappa_eta_closed,
     kappa_pair,
     riesz_product,
@@ -56,13 +58,6 @@ class TestFourierSum:
 
 
 class TestApproximantDensity:
-    def test_value_container_rejects_negative(self):
-        from tmqc.diffract import ApproximantValue
-
-        ApproximantValue(4, 0.0, 4.0)
-        with pytest.raises(ValueError):
-            ApproximantValue(4, 0.0, -0.5)
-
     def test_examples(self, params21):
         assert approximant_density(1, 2.31, params21) == pytest.approx(1.0)
         assert approximant_density(4, 0.0, params21) == pytest.approx(4.0)
@@ -294,6 +289,22 @@ class TestCoefficients:
         assert abs(kappa_eta_closed(k, params21)) == pytest.approx(ref, rel=1e-9, abs=0.0)
         assert abs(kappa_closed(k, params21)) == pytest.approx(1.0, abs=1e-15)
 
+    def test_kappa_eta_at_large_q(self, params21):
+        # q = 1500000000000 + 1/300017: frac(2q(a-b)/(a+b)) = 2/900051; the
+        # float k carries a phase error of about u |theta| and gave 7.27e-8
+        q = Fraction(1500000000000) + Fraction(1, 300017)
+        ref = math.sin(2 * math.pi / 900051) ** 2
+        assert abs(kappa_eta_at_q(q, params21)) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert abs(kappa_eta_closed(params21.wave_vector(q), params21)) > 1000 * ref
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(params=_tiles(), q=_FREQS)
+    def test_kappa_eta_at_q_matches_the_float_form(self, params, q):
+        exact = kappa_eta_at_q(q, params)
+        assert exact == pytest.approx(kappa_eta_closed(params.wave_vector(q), params), abs=1e-13)
+        if (2 * q * (params.a - params.b) / (params.a + params.b)).denominator == 1:
+            assert exact == 0
+
 
 class TestBragg:
     def test_examples(self):
@@ -402,44 +413,44 @@ class TestFloatFrequencyLimit:
 
 
 def _one_shot_density(k, l, params):
-    """nu_l(k) from one `_block_sums` at this l alone."""
+    """nu_l(k) from one `_block_sums` at floor(l/2) alone."""
     x = k * float(params.a + params.b) / (2.0 * math.pi)
     kd = k * float((params.a - params.b) / 2)
-    rot = cmath.exp(-1j * k * float(params.alpha1))
-    g, t, z_half = diffract._block_sums(x, (l + 1) // 2)
-    total = ((1.0 + rot * math.cos(kd)) * diffract._unscale(g)
-             + (-1j * rot * math.sin(kd)) * diffract._unscale(t) - 1.0)
-    if l % 2 == 0:
-        total += z_half
+    w = cmath.exp(-1j * k * float(params.alpha1))
+    cos_kd, sin_kd = math.cos(kd), math.sin(kd)
+    g, t, z_half = diffract._block_sums(x, l // 2)
+    total = ((1.0 + w * cos_kd) * diffract._unscale(g)
+             - 1j * w * sin_kd * diffract._unscale(t) - 1.0 + z_half)
+    if l % 2:
+        total += z_half * w * complex(cos_kd, -tm_sign(l // 2) * sin_kd)
     return abs(total) ** 2 / l
 
 
+def _one_shot_sign_sum(x, l):
+    """S_l(x) as a (mantissa, exponent) pair from one `_block_sums` at 2x
+    and floor(l/2) alone: (1 - e^{-2 pi i x}) T_L(2x), plus eta_L z^L for
+    odd l."""
+    m0, e0 = diffract._turn(x)[1]
+    _, (m, e), z_half = diffract._block_sums(2 * x, l // 2)
+    s = (m0 * m, e0 + e)
+    if l % 2:
+        s = diffract._add_scaled(s, (tm_sign(l // 2) * z_half, 0))
+    return s
+
+
 def _one_shot_eta(x, l):
-    """|S_l(x)|^2 / l from one `_block_sums` at this l alone."""
-    t, e = diffract._block_sums(x, l)[1]
+    """|S_l(x)|^2 / l from `_one_shot_sign_sum`."""
+    m, e = _one_shot_sign_sum(x, l)
     top = l.bit_length() - 1
-    return math.ldexp(abs(t) ** 2, 2 * e - top) / (l / (1 << top))
+    return math.ldexp(abs(m) ** 2, 2 * e - top) / (l / (1 << top))
 
 
 def _one_shot_alpha(l, x):
-    """alpha_l(x) from its own orbit (l = 2^n) or one `_block_sums` at l."""
-    n = l.bit_length() - 1
-    if l == 1 << n:
-        log_sq = 2.0 * n * math.log(2.0)
-        nums, den = diffract._dyadic_fracs(x, n)
-        for r in nums:
-            s = abs(math.sin(math.pi * (r / den)))
-            if s < diffract._SMALLEST_NORMAL:
-                if r == 0:
-                    return -math.inf
-                log_sq += 2.0 * (diffract._LOG_PI + math.log(abs(r)) - math.log(den))
-                continue
-            log_sq += 2.0 * math.log(s)
-        return (log_sq - n * math.log(2.0)) / (n * math.log(2.0))
-    t, e = diffract._block_sums(x, l)[1]
-    if t == 0:
+    """alpha_l(x) from `_one_shot_sign_sum`."""
+    m, e = _one_shot_sign_sum(x, l)
+    if m == 0:
         return -math.inf
-    return (2.0 * (math.log(abs(t)) + e * math.log(2.0)) - math.log(l)) / math.log(l)
+    return (2.0 * (math.log(abs(m)) + e * math.log(2.0)) - math.log(l)) / math.log(l)
 
 
 def _size_lists(limit: int):
@@ -543,6 +554,94 @@ class TestBlockTable:
             with pytest.raises(ValueError, match="pass a Fraction"):
                 scaling_exponents_at_sizes(0.3, [16, l])
         assert scaling_exponents_at_sizes(0.3, []) == []
+
+
+def _one_shot_q_density(q, l, params):
+    """nu_l at k = 4 pi q/(a+b) from one `_block_sums` at 2q and floor(l/2)
+    alone, with the phases from the reduced fractions."""
+    w = diffract._turn(q)[0]
+    (r,), den = diffract._dyadic_fracs(q * (params.a - params.b) / (params.a + params.b), 1)
+    (s, f), c = diffract._sin_cos_pi(r, den)
+    s = math.ldexp(s, f)
+    cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c
+    g, t, z_half = diffract._block_sums(2 * q, l // 2)
+    total = ((1.0 + w * cos_kd) * diffract._unscale(g)
+             - 1j * w * sin_kd * diffract._unscale(t) - 1.0 + z_half)
+    if l % 2:
+        total += z_half * w * complex(cos_kd, -tm_sign(l // 2) * sin_kd)
+    return abs(total) ** 2 / l
+
+
+class TestDensityAtQ:
+    """The exact-phase route of a rational wave vector: density and alpha_l
+    from one table at 2q and one walk per size."""
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(params=_tiles(), q=_FREQS, half=st.integers(0, 1 << 11), odd=st.booleans())
+    def test_matches_the_kahan_and_direct_oracles(self, params, q, half, odd):
+        l = max(1, 2 * half + odd)
+        k = params.wave_vector(q)
+        ((nu, alpha),) = density_at_q(q, [l], params)
+        _assert_same_sum(l, k, params, nu, approximant_density(l, k, params))
+        direct = abs(eta_sum(l, float(q)))
+        tol = 1e-12 * l * (1 + abs(float(q)) * l)
+        if l == 1:
+            assert alpha is None
+        elif alpha == -math.inf:
+            assert direct <= tol
+        else:
+            assert abs(math.exp(0.5 * (1 + alpha) * math.log(l)) - direct) <= tol
+
+    @settings(deadline=None, derandomize=True, max_examples=10)
+    @given(params=_tiles(), q=_FREQS, l=st.integers(1, 1 << 22))
+    def test_matches_the_weighted_scan(self, params, q, l):
+        k = params.wave_vector(q)
+        ((nu, _),) = density_at_q(q, [l], params)
+        (nu_scan,) = density_at_sizes(k, [l], params, weights=np.ones(l))
+        _assert_same_sum(l, k, params, nu, nu_scan)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(params=_tiles(), q=_EXACT_FREQS, sizes=_size_lists(1 << 62))
+    def test_one_table_equals_a_table_per_size(self, params, q, sizes):
+        got = density_at_q(q, sizes, params)
+        assert got == [density_at_q(q, [l], params)[0] for l in sizes]
+        assert [nu for nu, _ in got] == [_one_shot_q_density(q, l, params) for l in sizes]
+        assert [al for _, al in got] == [None if l == 1 else _one_shot_alpha(l, q) for l in sizes]
+
+    def test_tiny_frequency_factor_is_scaled(self, params21):
+        # at q = 2^-1100, sin(pi q) underflows to 0.0; the factor
+        # 1 - e^{-2 pi i q} = 2i sin(pi q) e^{-i pi q} is kept as a scaled
+        # pair, so |S_{2L}|^2 = 4 sin^2(pi q) |T_L(2q)|^2 is not read as 0
+        q = Fraction(1, 2**1100)
+        m, e = diffract._turn(q)[1]
+        assert math.log(abs(m)) + e * math.log(2) == pytest.approx(
+            math.log(2 * math.pi) - 1100 * math.log(2), rel=1e-15)
+        n = 10  # |S_{2^n}|^2 = 2^{2n} prod_{j<n} (pi 2^{j-1100})^2 to far below 1 ulp
+        log_sq = 2 * n * math.log(2) + 2 * sum(
+            math.log(math.pi) + (j - 1100) * math.log(2) for j in range(n))
+        sizes = [1 << n, 1000, 1002, 1001]
+        rows = density_at_q(q, sizes, params21)
+        assert rows[0][1] == pytest.approx((log_sq - n * math.log(2)) / (n * math.log(2)), rel=1e-12)
+        assert [al for _, al in rows] == scaling_exponents_at_sizes(q, sizes)
+        assert all(math.isfinite(al) for _, al in rows)
+        for l, (nu, _) in zip(sizes, rows):  # every phase is about 0: nu_l = l
+            assert nu == pytest.approx(l, rel=1e-12)
+
+    def test_exact_zeros(self, params21):
+        # q = 1/4: z = -1 and T_{2^j}(1/2) = 0 from j = 2 on; q = 1: S_l is
+        # 0 at even l and eta_{l-1} = +-1 at odd l
+        for l in (8, 16, 1 << 40, 1 << 62):
+            assert density_at_q(Fraction(1, 4), [l], params21) == [(0.0, -math.inf)]
+        rows = density_at_q(Fraction(1), [2, 3, 1 << 50, (1 << 50) + 1], params21)
+        assert [al for _, al in rows] == [-math.inf, -1.0, -math.inf, -1.0]
+
+    def test_refusals(self, params21):
+        assert density_at_q(Fraction(1, 3), [], params21) == []
+        for bad in ([0], [4, -1]):
+            with pytest.raises(ValueError, match="sizes must be >= 1"):
+                density_at_q(Fraction(1, 3), bad, params21)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            density_at_q(Fraction(1, 3), [(1 << 2100) + 1], params21)
 
 
 class TestFittedAlpha:

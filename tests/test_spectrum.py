@@ -107,6 +107,16 @@ class TestClassify:
         assert 0 < abs(v.kappa_eta) < 1e-10
         assert v.kappa_eta_boundary
 
+    def test_kappa_eta_is_exact_at_large_q(self, params21):
+        # frac(2q(a-b)/(a+b)) = 2/900051, as at q = 1/300017; the float k gave
+        # |kappa_eta| = 7.27e-8 here
+        v = classify(Fraction(1500000000000) + Fraction(1, 300017), params21)
+        ref = math.sin(2 * math.pi / 900051) ** 2
+        assert abs(v.kappa_eta) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert abs(v.kappa_eta) == pytest.approx(
+            abs(classify(Fraction(1, 300017), params21).kappa_eta), rel=1e-9, abs=0.0)
+        assert v.kappa_eta_boundary
+
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(a=st.fractions(1, 12, max_denominator=6), b=st.fractions(0, 12, max_denominator=6),
            q=st.fractions(0, 4, max_denominator=60), on_grid=st.booleans(),

@@ -8,16 +8,11 @@ import pytest
 
 from tmqc import tmcore
 from tmqc.tmcore import (
-    AveragingSequence,
     QuasicrystalParams,
-    canonical_approximant,
     digit_sum,
     gab,
     point,
-    point_array,
-    prefix_eta_sum,
     sign_array,
-    tm_prefix,
     tm_sign,
 )
 
@@ -29,6 +24,15 @@ def bit_loop_digit_sum(n: int) -> int:
         total += n & 1
         n >>= 1
     return total
+
+
+def doubled_prefix(length: int) -> np.ndarray:
+    # independent oracle: the substitution route, starting from (+1) and
+    # appending the negated block until the prefix is long enough
+    block = np.array([1], dtype=np.int8)
+    while len(block) < length:
+        block = np.concatenate([block, -block])
+    return block[:length]
 
 
 def direct_point(n: int, params: QuasicrystalParams) -> Fraction:
@@ -65,21 +69,23 @@ class TestSign:
     def test_prefix_matches_sign_up_to_2_20(self):
         # substitution doubling against the closed digit-sum form
         n = 1 << 20
-        prefix = tm_prefix(n)
-        assert np.array_equal(prefix.values, sign_array(0, n))
+        assert np.array_equal(doubled_prefix(n), sign_array(0, n))
 
     def test_prefix_examples(self):
-        assert list(tm_prefix(4).values) == [1, -1, -1, 1]
-        assert tm_prefix(0).length == 0
-        eight = tm_prefix(8).values
+        assert list(sign_array(0, 4)) == [1, -1, -1, 1]
+        assert len(sign_array(0, 0)) == 0
+        eight = sign_array(0, 8)
         assert np.array_equal(eight[4:], -eight[:4])
 
     def test_sign_array_window(self):
         assert list(sign_array(3, 7)) == [tm_sign(n) for n in range(3, 7)]
 
     def test_prefix_eta_sum(self):
+        # the prefix sum is 0 for even n and eta_{n-1} for odd n, the last
+        # term that odd sizes add in the block route of `diffract`
         for n in range(0, 300):
-            assert prefix_eta_sum(n) == sum(tm_sign(m) for m in range(n))
+            expected = 0 if n % 2 == 0 else tm_sign(n - 1)
+            assert sum(tm_sign(m) for m in range(n)) == expected
 
 
 class TestPoint:
@@ -123,11 +129,6 @@ class TestPoint:
         s = params21.a + params21.b
         for m in range(1, 1001):
             assert point(2 * m, params21) == m * s
-
-    def test_point_array_matches_exact(self, params21):
-        arr = point_array(512, params21)
-        for n in range(1, 513):
-            assert arr[n - 1] == pytest.approx(float(point(n, params21)), abs=1e-12)
 
 
 class TestMeyerProperty:
@@ -184,24 +185,3 @@ class TestParams:
         assert params21.alpha1 == Fraction(3, 2)
         assert params21.alpha0 == Fraction(-1, 2)
         assert params21.alpha2 == Fraction(2)
-
-
-class TestApproximants:
-    def test_canonical_examples(self, params21):
-        assert canonical_approximant(1, params21).coordinates == (Fraction(2),)
-        assert canonical_approximant(3, params21).coordinates == (
-            Fraction(2), Fraction(3), Fraction(4))
-
-    def test_cardinality(self, params21):
-        for l in (1, 2, 5, 17, 64):
-            assert len(canonical_approximant(l, params21)) == l
-
-    def test_averaging_sequences(self):
-        canon = AveragingSequence.canonical(32)
-        assert canon.lengths == tuple(range(1, 33))
-        dyadic = AveragingSequence.power_of_two(5)
-        assert set(dyadic.lengths) <= set(canon.lengths)
-        with pytest.raises(ValueError):
-            AveragingSequence.custom([3, 3, 4])
-        with pytest.raises(ValueError):
-            AveragingSequence.custom([0, 1])
