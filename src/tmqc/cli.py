@@ -29,6 +29,7 @@ import json
 import locale  # noqa: F401
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -55,6 +56,14 @@ def __getattr__(name: str):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token of "-" and a digit is a value, such as the rational
+        # "-1/3" or the grid "-1/3:1/256:5"; argparse takes only plain
+        # negative integers and decimals for values, and no tmqc option
+        # starts with "-" and a digit
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
 
@@ -105,7 +114,7 @@ def _parse_grid(spec: str) -> list:
     return [_parse_fraction(tok) for tok in spec.split(",") if tok.strip()]
 
 
-# a rational q is exact in its phases at any size (`diffract.density_at_q`);
+# a rational q is exact in its phases at any size (`diffract.density_at_qs`);
 # sizes are capped like profile horizons, so every l is a signed 64-bit
 # integer for whatever reads the table
 MAX_SIZE = 1 << 62
@@ -167,23 +176,25 @@ def _cmd_sequence(args) -> tuple:
     return ["n", "digit_sum", "sign", "f"], rows
 
 
-def _diffract_worker(params, q: Fraction, sizes: list) -> list:
-    """The rows of one wave vector: density and alpha_l from one exact
-    block table and one walk per size."""
-    q_text, k = str(q), params.wave_vector(q)
-    return [
-        (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
-        for l, (nu, al) in zip(sizes, diffract.density_at_q(q, sizes, params))
-    ]
+def _diffract_worker(params, qs: list, sizes: list) -> list:
+    """The rows of the wave vectors qs, in grid order: density and alpha_l
+    from one exact block table per distinct frac(2q) and one walk per size
+    (`diffract.density_at_qs`)."""
+    rows = []
+    for q, values in zip(qs, diffract.density_at_qs(qs, sizes, params)):
+        q_text, k = str(q), params.wave_vector(q)
+        rows.extend(
+            (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
+            for l, (nu, al) in zip(sizes, values)
+        )
+    return rows
 
 
 def _cmd_diffract(args) -> tuple:
     """All wave vectors in this process; `--jobs` is accepted and ignored,
     since a q costs O(log l) per size and a pool costs more than it saves."""
     params = tmcore.QuasicrystalParams(args.a, args.b)
-    grid = _parse_grid(args.grid)
-    sizes = _parse_sizes(args.sizes)
-    rows = [row for q in grid for row in _diffract_worker(params, q, sizes)]
+    rows = _diffract_worker(params, _parse_grid(args.grid), _parse_sizes(args.sizes))
     return ["q", "k", "l", "density", "alpha_l"], rows
 
 
@@ -280,7 +291,16 @@ def _weights_by_name(name: str, horizon: int, seed: int) -> np.ndarray:
     raise UsageError(f"unknown weight family {name!r}; pick from {_WEIGHT_FAMILIES}")
 
 
+# the run holds about 33 bytes per weight at its peak (measured for every
+# family at 2^20-2^23 weights): 4.2 GiB at 2^27, 8.3 GiB at 2^28
+MAX_WEIGHT_HORIZON = 27
+
+
 def _cmd_marcinkiewicz(args) -> tuple:
+    if not 0 <= args.horizon <= MAX_WEIGHT_HORIZON:
+        raise UsageError(
+            f"horizon must be in [0, {MAX_WEIGHT_HORIZON}] (log2 of the number of weights)"
+        )
     w = _weights_by_name(args.weights, 1 << args.horizon, args.seed)
     est = spectrum.marcinkiewicz_norm(w, 1 << args.horizon)
     rows = [(l, v, None) for l, v in est.dyadic_values]

@@ -12,8 +12,9 @@ with alpha in (-1,1) is the singular-continuous signature, and decay like
 With unit weights nu_l reduces to two sums over m < L ~ l/2 of z^m and
 eta_m z^m, z = exp(-i k (a+b)); both split over the binary blocks of L into
 products over its digits, so a density costs O(log l) operations instead of
-an l-term scan.  For a rational wave vector (`density_at_q`) the products are
-built on the exact Fraction and every phase is reduced as a rational first.
+an l-term scan.  For rational wave vectors (`density_at_qs`) the products are
+built on the exact frac(2q), shared by every q with the same frac(2q), and
+every phase is reduced on integers first.
 Weighted combs keep the vectorized scan.
 
 Sign-sequence exponential sums S_l(x) = sum_{j<l} eta_j exp(-2 pi i j x) use
@@ -52,6 +53,7 @@ __all__ = [
     "approximant_density",
     "density_at_sizes",
     "density_at_q",
+    "density_at_qs",
     "eta_sum",
     "eta_sums_at_sizes",
     "riesz_product",
@@ -149,7 +151,7 @@ def density_at_sizes(
     kd = k * float((params.a - params.b) / 2)
     w = cmath.exp(-1j * k * float(params.alpha1))
     cos_kd, sin_kd = math.cos(kd), math.sin(kd)
-    table = _block_table(x, (max(caller_sizes) // 2).bit_length() - 1)
+    table = _block_table(*x.as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
     return np.array([
         _density(_walk_size(table, l), l, w, cos_kd, sin_kd) for l in caller_sizes
     ])
@@ -157,7 +159,15 @@ def density_at_sizes(
 
 def density_at_q(q, sizes: Sequence[int], params: QuasicrystalParams) -> list:
     """(nu_l(k), alpha_l(q)) for each size l, in caller order, at the
-    rational wave vector k = 4 pi q/(a+b), from one exact block table.
+    rational wave vector k = 4 pi q/(a+b): the one-q case of
+    `density_at_qs`."""
+    return density_at_qs([q], sizes, params)[0]
+
+
+def density_at_qs(qs: Sequence, sizes: Sequence[int], params: QuasicrystalParams) -> list:
+    """For each rational wave vector q of `qs`, in order, the list of
+    (nu_l(k), alpha_l(q)) at k = 4 pi q/(a+b) for each size l, in caller
+    order.
 
     Splitting n by parity, f(2m) = m(a+b) and f(2m+1) = m(a+b) + c + d eta_m
     (c = (a+b)/2, d = (a-b)/2) give, with L = floor(l/2),
@@ -172,32 +182,46 @@ def density_at_q(q, sizes: Sequence[int], params: QuasicrystalParams) -> list:
     |S_{2L}(q)|^2 = 4 sin^2(pi q) |T_L|^2, and at l = 2^n T_L is one
     product entry of the table.
 
-    The table is built on the Fraction 2q, and w, cos kd and sin kd come
-    from the reduced fractions frac(q) and frac(q (a-b)/(a+b)), so the
-    phases are exact at every size.  alpha_l is -inf where S_l vanishes
-    and None at l = 1; a density beyond the float range raises ValueError.
+    G_L, T_L and z^L depend on q only through frac(2q), so wave vectors
+    that agree mod 1/2 share one `_block_table` and one walk per size; the
+    table is keyed on frac(2q) in lowest terms as an integer pair.  w,
+    cos kd and sin kd come from the integer numerators of frac(q) and
+    frac(q (a-b)/(a+b)), so every phase is exact at every size.  alpha_l
+    is -inf where S_l vanishes and None at l = 1; a density beyond the
+    float range raises ValueError.
     """
-    q = Fraction(q)
+    ratios = [Fraction(q).as_integer_ratio() for q in qs]
     caller_sizes = [int(s) for s in sizes]
     if not caller_sizes:
-        return []
+        return [[] for _ in ratios]
     if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
-    table = _block_table(2 * q, (max(caller_sizes) // 2).bit_length() - 1)
-    w, one_minus_w = _turn(q)
-    (r,), den = _dyadic_fracs(q * (params.a - params.b) / (params.a + params.b), 1)
-    (s, f), c = _sin_cos_pi(r, den)
-    s = math.ldexp(s, f)
-    cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c  # exactly 0 where they vanish
+    top = (max(caller_sizes) // 2).bit_length() - 1
+    ratio = (params.a - params.b) / (params.a + params.b)
+    walks = {}  # (num mod den, den) of frac(2q) -> one `_walk_size` per size
     out = []
-    for l in caller_sizes:
-        walk = _walk_size(table, l)
-        try:
-            nu = _density(walk, l, w, cos_kd, sin_kd)
-        except OverflowError:
-            raise ValueError(f"nu_l at l = {l} exceeds the float range") from None
-        alpha = None if l == 1 else _exponent(_sign_sum(walk, l, one_minus_w), l)
-        out.append((nu, alpha))
+    for t, d in ratios:  # q = t/d in lowest terms
+        key = (t % (d >> 1), d >> 1) if d % 2 == 0 else (2 * t % d, d)
+        size_walks = walks.get(key)
+        if size_walks is None:
+            table = _block_table(*key, top)
+            size_walks = walks[key] = [_walk_size(table, l) for l in caller_sizes]
+        w, one_minus_w = _turn(t, d)
+        num, den = t * ratio.numerator, d * ratio.denominator
+        g = math.gcd(num, den)
+        (r,), den = _orbit(num // g, den // g, 1)
+        (s, f), c = _sin_cos_pi(r, den)
+        s = math.ldexp(s, f)
+        cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c  # exactly 0 where they vanish
+        values = []
+        for l, walk in zip(caller_sizes, size_walks):
+            try:
+                nu = _density(walk, l, w, cos_kd, sin_kd)
+            except OverflowError:
+                raise ValueError(f"nu_l at l = {l} exceeds the float range") from None
+            alpha = None if l == 1 else _exponent(_sign_sum(walk, l, one_minus_w), l)
+            values.append((nu, alpha))
+        out.append(values)
     return out
 
 
@@ -257,7 +281,11 @@ def _dyadic_fracs(x, n: int) -> tuple:
     an int and a float alike.  A float is a dyadic rational: its orbit
     reaches 0 once its 53-bit mantissa has been shifted out.
     """
-    num, den = x.as_integer_ratio()
+    return _orbit(*x.as_integer_ratio(), n)
+
+
+def _orbit(num: int, den: int, n: int) -> tuple:
+    """`_dyadic_fracs` of x = num/den, den > 0, on the integers alone."""
     num %= den
     out = []
     for _ in range(n):
@@ -318,24 +346,24 @@ def _sin_cos_pi(r: int, den: int) -> tuple:
     return (s, 0), c
 
 
-def _turn(x) -> tuple:
-    """(w, 1 - w) for w = e^{-2 pi i x}, from the exact frac(x); 1 - w is a
-    (mantissa, exponent) pair: 2i sin(theta) e^{-i theta} with
+def _turn(num: int, den: int) -> tuple:
+    """(w, 1 - w) for w = e^{-2 pi i x}, x = num/den, from the exact frac(x);
+    1 - w is a (mantissa, exponent) pair: 2i sin(theta) e^{-i theta} with
     theta = pi frac(x), the T factor of `_block_table` one bit below its
     first, so it is 0 only at integer x and keeps its relative precision
     where frac(x) is tiny."""
-    (r,), den = _dyadic_fracs(x, 1)
+    (r,), den = _orbit(num, den, 1)
     (s, f), c = _sin_cos_pi(r, den)
     rot = complex(c, -math.ldexp(s, f))
     return rot * rot, _rescale(2j * s * rot, f)
 
 
-def _block_table(x, top: int) -> tuple:
-    """The per-frequency part of the block sums for z = e^{-2 pi i x}, bits
-    0..top: (prod_g, prod_t, steps).
+def _block_table(num: int, den: int, top: int) -> tuple:
+    """The per-frequency part of the block sums for z = e^{-2 pi i x},
+    x = num/den, bits 0..top: (prod_g, prod_t, steps).
 
     They are read off the doubling orbit psi_i = frac(2^i x) in (-1/2, 1/2]
-    (`_dyadic_fracs`, exact).  With theta_i = pi psi_i, prod_g[j] and
+    (`_orbit`, exact).  With theta_i = pi psi_i, prod_g[j] and
     prod_t[j] are the (mantissa, exponent) products over i < j of
     2 cos(theta_i) e^{-i theta_i} = 1 + z^{2^i} and
     2i sin(theta_i) e^{-i theta_i} = 1 - z^{2^i}, and steps[i] = z^{2^i}.
@@ -344,7 +372,7 @@ def _block_table(x, top: int) -> tuple:
     only on the lower bits, so one table built up to the top bit of the
     largest L serves every smaller L unchanged (`_walk_blocks`).
     """
-    nums, den = _dyadic_fracs(x, top + 1)
+    nums, den = _orbit(num, den, top + 1)
     prod_g, prod_t = [(1 + 0j, 0)], [(1 + 0j, 0)]  # products over i < j
     steps = []  # z^{2^i}
     for i, r in enumerate(nums):  # psi_i = r / den
@@ -384,7 +412,7 @@ def _walk_blocks(table: tuple, big_l: int) -> tuple:
 def _block_sums(x, big_l: int) -> tuple:
     """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
     L >= 1, in O(log L) operations; returns (G_L, T_L, z^L)."""
-    return _walk_blocks(_block_table(x, big_l.bit_length() - 1), big_l)
+    return _walk_blocks(_block_table(*x.as_integer_ratio(), big_l.bit_length() - 1), big_l)
 
 
 def _walk_size(table: tuple, l: int) -> tuple:
@@ -444,8 +472,8 @@ def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     if min(caller_sizes) < 1:
         raise ValueError("sizes must be >= 1")
     _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(2 * x, (max(caller_sizes) // 2).bit_length() - 1)
-    one_minus_w = _turn(x)[1]
+    table = _block_table(*(2 * x).as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
+    one_minus_w = _turn(*x.as_integer_ratio())[1]
     out = np.empty(len(caller_sizes))
     for idx, l in enumerate(caller_sizes):
         m, e = _sign_sum(_walk_size(table, l), l, one_minus_w)
@@ -497,8 +525,8 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
     if min(caller_sizes) < 2:
         raise ValueError("l must be >= 2")
     _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(2 * x, (max(caller_sizes) // 2).bit_length() - 1)
-    one_minus_w = _turn(x)[1]
+    table = _block_table(*(2 * x).as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
+    one_minus_w = _turn(*x.as_integer_ratio())[1]
     return [_exponent(_sign_sum(_walk_size(table, l), l, one_minus_w), l) for l in caller_sizes]
 
 

@@ -240,8 +240,11 @@ def dirichlet_l_one(p: int) -> float:
 
     The sum over the full range 0 < a < p halves because chi_p and the sine
     are both symmetric under a -> p - a.  It runs in numpy passes of
-    `_L_CHUNK` terms whose dot products are added by `math.fsum`: O(p) time,
-    p/2 bytes for the character table and a bounded working set besides.
+    `_L_CHUNK` terms whose sums are added by `math.fsum`: O(p) time, p/2
+    bytes for the character table and a bounded working set besides.  Each
+    pass is an elementwise product and a pairwise `np.add.reduce`, not a
+    dot product: `np.dot` goes to threaded BLAS, whose idle worker thread
+    can take tens of milliseconds to wake.
     The normalization is pinned by the h = 1 entries of the classical unit
     table (see tests); the log 2 part of log(2 sin) drops because the
     character sums to zero.
@@ -256,7 +259,8 @@ def dirichlet_l_one(p: int) -> float:
     for start in range(1, half + 1, _L_CHUNK):
         stop = min(start + _L_CHUNK, half + 1)
         a = np.arange(start, stop, dtype=np.float64)
-        parts.append(float(np.dot(chi[start:stop], np.log(np.sin(a * (math.pi / p))))))
+        logs = np.log(np.sin(a * (math.pi / p)))
+        parts.append(float(np.add.reduce(logs * chi[start:stop])))
     return -2.0 * math.fsum(parts) / math.sqrt(p)
 
 

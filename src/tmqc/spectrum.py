@@ -123,6 +123,7 @@ class SpectralVerdict:
     conjectural: bool = False             # always False: every exponent is exact
     kappa_eta_boundary: bool = False      # 0 < |kappa_eta| < 1e-7
     residue_alpha: float | None = None    # coset-resolved exponent at t (primes)
+    extinct: bool = False                 # Bragg position whose unit-weight density dies
 
 
 def _prime_betas(p: int, t: int) -> tuple:
@@ -142,7 +143,9 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     Extinction (kappa_eta = 0) is decided on the exact rational q, and
     kappa_eta itself is computed from its reduced phase
     (`diffract.kappa_eta_at_q`), so |kappa_eta| and `kappa_eta_boundary`
-    keep their relative precision at every |q|.  Every
+    keep their relative precision at every |q|.  A dyadic q is BRAGG, with
+    `extinct` set where its unit-weight density vanishes (`_dyadic_extinct`,
+    an exact rational test).  Every
     other odd part p gets the exact exponent alpha = 2 beta(p) - 1, with
     beta(p) the largest orbit exponent max_t beta_t(p):
 
@@ -161,13 +164,15 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     nwv = normalize_wavevector(Fraction(q))
     k = nwv.physical_k(params)
     ke = diffract.kappa_eta_at_q(nwv.q, params)
+    # u = 2 q (a - b)/(a + b); |kappa_eta| = sin^2(pi u) vanishes exactly
+    # when u is an integer
+    u = 2 * nwv.q * (params.a - params.b) / (params.a + params.b)
     if nwv.p == 1:
         return SpectralVerdict(
-            SpectralKind.BRAGG, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
+            SpectralKind.BRAGG, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke,
+            extinct=_dyadic_extinct(nwv, u),
         )
-    # |kappa_eta| = sin^2(2 pi q (a - b)/(a + b)) vanishes exactly when
-    # 2 q (a - b)/(a + b) is an integer
-    if (2 * nwv.q * (params.a - params.b) / (params.a + params.b)).denominator == 1:
+    if u.denominator == 1:
         return SpectralVerdict(
             SpectralKind.EXCLUDED, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
         )
@@ -186,6 +191,21 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
         kappa_eta_boundary=abs(ke) < _KAPPA_ETA_NEAR_ZERO,
         residue_alpha=res_alpha,
     )
+
+
+def _dyadic_extinct(nwv: NormalizedWaveVector, u: Fraction) -> bool:
+    """Whether the unit-weight density vanishes at the dyadic q = t/2^h.
+
+    With z = e^{-2 pi i 2q}, w = e^{-2 pi i q} and kd = pi u (see
+    `diffract.density_at_qs`): for h >= 2, z is a root of unity of order
+    2^{h-1} >= 2, so G_L and T_L vanish at L = 2^n for n >= h, and
+    nu_l = 0 exactly at l = 2^n for n >= h + 1.  For h <= 1, z = 1 and w = (-1)^{2q};
+    nu_l grows like l |1 + w cos kd|^2 / 4 unless 1 + w cos kd = 0, which
+    holds exactly when u is an integer with u + 2q odd (tiles (3,1) at
+    q = 1)."""
+    if nwv.h >= 2:
+        return True
+    return u.denominator == 1 and (u.numerator + int(2 * nwv.q)) % 2 == 1
 
 
 def classify_real(k_over_scale: float, params: QuasicrystalParams) -> SpectralVerdict:

@@ -164,6 +164,30 @@ class TestDiffract:
             assert float(row["alpha_l"]) == pytest.approx(alpha, abs=1e-12)
         assert float(rows[1]["density"]) == pytest.approx(2.96381e8, rel=1e-5)
 
+    @pytest.mark.parametrize("grid, sizes, message", [
+        ("0:1/4", "16", "grid range must be start:step:count"),
+        ("0:1/4:2:3", "16", "grid range must be start:step:count"),
+        ("0:1/4:x", "16", "grid count must be an integer"),
+        ("0:1/4:-1", "16", "grid count must be >= 0"),
+        ("1/3", "16,x", "bad size list"),
+        ("1/3", "16,0", "sizes must be positive"),
+        ("1/3", "-4", "sizes must be positive"),
+    ])
+    def test_parse_errors_are_usage_errors(self, capsys, grid, sizes, message):
+        code, out, err = run_cli(["diffract", "--grid", grid, "--sizes", sizes], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_negative_grid_start(self, capsys):
+        # argparse read "-1/3:1/256:5" as an option and refused the flag
+        code, out, _ = run_cli(["diffract", "--grid", "-1/3:1/256:5", "--sizes", "4,5"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["q"] for r in rows[::2]] == ["-1/3", "-253/768", "-125/384", "-247/768",
+                                               "-61/192"]
+        _, same, _ = run_cli(["diffract", "--grid=-1/3:1/256:5", "--sizes", "4,5"], capsys)
+        assert same == out
+
     def test_parallel_jobs_match_serial(self, capsys):
         base = ["diffract", "--grid", "0,1/3,1/5,1/7", "--sizes", "128,512"]
         _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
@@ -217,6 +241,16 @@ class TestSpectrumCommand:
         assert row["kind"] == "SingularContinuous"
         assert 0 < float(row["kappa_eta_abs"]) < 1e-10
         assert math.isfinite(float(row["alpha"]))
+
+    @pytest.mark.parametrize("q", ["-1/3", "-1/3,1/4", "-5/12,-7/1024"])
+    def test_negative_rationals(self, capsys, q):
+        # argparse read a leading "-1/3" as an option and refused the flag
+        code, out, _ = run_cli(["spectrum", "--q", q], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["q"] for r in rows] == [tok.strip() for tok in q.split(",")]
+        _, same, _ = run_cli(["spectrum", f"--q={q}"], capsys)
+        assert same == out
 
     def test_kappa_eta_at_large_q(self, capsys):
         # the float k printed 7.27e-8; frac(2q/3) = 2/900051 exactly
@@ -390,6 +424,19 @@ class TestMarcinkiewiczCommand:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(["marcinkiewicz", "--weights", "nope"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("horizon", ["-1", "28", "40"])
+    def test_horizon_out_of_range_is_usage_error(self, capsys, horizon):
+        # -1 raised "negative shift count"; 30 asked numpy for 8 GiB
+        code, out, err = run_cli(["marcinkiewicz", "--horizon", horizon], capsys)
+        assert (code, out) == (1, "")
+        assert "[0, 27]" in err
+
+    def test_horizon_zero(self, capsys):
+        code, out, _ = run_cli(["marcinkiewicz", "--horizon", "0"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [{"l": "1", "mean_abs_weight": "", "estimate": "1.0"}]
 
 
 class TestConfigFile:

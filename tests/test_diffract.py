@@ -16,6 +16,7 @@ from tmqc.diffract import (
     approximant_density,
     coefficient_cm,
     density_at_q,
+    density_at_qs,
     density_at_sizes,
     eta_sum,
     eta_sums_at_sizes,
@@ -430,7 +431,7 @@ def _one_shot_sign_sum(x, l):
     """S_l(x) as a (mantissa, exponent) pair from one `_block_sums` at 2x
     and floor(l/2) alone: (1 - e^{-2 pi i x}) T_L(2x), plus eta_L z^L for
     odd l."""
-    m0, e0 = diffract._turn(x)[1]
+    m0, e0 = diffract._turn(*x.as_integer_ratio())[1]
     _, (m, e), z_half = diffract._block_sums(2 * x, l // 2)
     s = (m0 * m, e0 + e)
     if l % 2:
@@ -559,7 +560,7 @@ class TestBlockTable:
 def _one_shot_q_density(q, l, params):
     """nu_l at k = 4 pi q/(a+b) from one `_block_sums` at 2q and floor(l/2)
     alone, with the phases from the reduced fractions."""
-    w = diffract._turn(q)[0]
+    w = diffract._turn(*q.as_integer_ratio())[0]
     (r,), den = diffract._dyadic_fracs(q * (params.a - params.b) / (params.a + params.b), 1)
     (s, f), c = diffract._sin_cos_pi(r, den)
     s = math.ldexp(s, f)
@@ -613,7 +614,7 @@ class TestDensityAtQ:
         # 1 - e^{-2 pi i q} = 2i sin(pi q) e^{-i pi q} is kept as a scaled
         # pair, so |S_{2L}|^2 = 4 sin^2(pi q) |T_L(2q)|^2 is not read as 0
         q = Fraction(1, 2**1100)
-        m, e = diffract._turn(q)[1]
+        m, e = diffract._turn(*q.as_integer_ratio())[1]
         assert math.log(abs(m)) + e * math.log(2) == pytest.approx(
             math.log(2 * math.pi) - 1100 * math.log(2), rel=1e-15)
         n = 10  # |S_{2^n}|^2 = 2^{2n} prod_{j<n} (pi 2^{j-1100})^2 to far below 1 ulp
@@ -642,6 +643,44 @@ class TestDensityAtQ:
                 density_at_q(Fraction(1, 3), bad, params21)
         with pytest.raises(ValueError, match="exceeds the float range"):
             density_at_q(Fraction(1, 3), [(1 << 2100) + 1], params21)
+
+
+def _grids():
+    """Grids start + i step, i < count, that reach past q + n for a step
+    n/m, so wave vectors with the same frac(2q) repeat: starts t/d with
+    d <= 97 and negative q, dyadic and non-dyadic steps."""
+    start = st.builds(lambda t, d: Fraction(t, d), st.integers(-3 * 97, 3 * 97), st.integers(1, 97))
+    step = st.one_of(
+        st.integers(1, 6).map(lambda j: Fraction(1, 1 << j)),
+        st.builds(Fraction, st.integers(1, 3), st.integers(2, 40)),
+    )
+    return st.builds(
+        lambda a, h, extra: [a + i * h for i in range(h.denominator + 1 + extra)],
+        start, step, st.integers(0, 8),
+    )
+
+
+class TestDensityAtQs:
+    """A grid of rational wave vectors shares one table and one walk per
+    size among the q with the same frac(2q)."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(params=_tiles(), grid=_grids(), sizes=_size_lists(1 << 62))
+    def test_grid_equals_one_call_per_q(self, params, grid, sizes):
+        assert len({(2 * q) % 1 for q in grid}) < len(grid)  # tables are shared
+        got = density_at_qs(grid, sizes, params)
+        assert got == [density_at_q(q, sizes, params) for q in grid]
+        for q, values in zip(grid, got):
+            assert [nu for nu, _ in values] == [_one_shot_q_density(q, l, params) for l in sizes]
+            assert [al for _, al in values] == [
+                None if l == 1 else _one_shot_alpha(l, q) for l in sizes
+            ]
+
+    def test_empty_inputs_and_refusals(self, params21):
+        assert density_at_qs([], [4, 5], params21) == []
+        assert density_at_qs([Fraction(1, 3), Fraction(5, 6)], [], params21) == [[], []]
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            density_at_qs([Fraction(1, 3)], [4, 0], params21)
 
 
 class TestFittedAlpha:

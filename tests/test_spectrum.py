@@ -76,6 +76,26 @@ class TestClassify:
         assert classify(Fraction(1, 4), params21).kind is SpectralKind.BRAGG
         assert classify(Fraction(5), params21).kind is SpectralKind.BRAGG
 
+    @pytest.mark.parametrize("a, b", [(2, 1), (3, 1), (5, 2), (5, 3)])
+    @pytest.mark.parametrize("q", ["1/4", "3/8", "7/1024", "-1/4", "0", "1/2", "1", "3/2",
+                                   "-3/2", "2", "4"])
+    def test_dyadic_extinction_flag_matches_the_density(self, a, b, q):
+        # h >= 2, or 2q(a-b)/(a+b) an integer u with u + 2q odd (tiles (3,1)
+        # at q = 1, (5,3) at q = 2): nu_l / l is about 0 at l = 2^20 and
+        # 2^20 + 3; elsewhere it is a positive constant
+        params = QuasicrystalParams(Fraction(a), Fraction(b))
+        v = classify(Fraction(q), params)
+        assert v.kind is SpectralKind.BRAGG
+        sizes = [1 << 20, (1 << 20) + 3]
+        rows = diffract.density_at_q(Fraction(q), sizes, params)
+        per_site = [nu / l for l, (nu, _) in zip(sizes, rows)]
+        if v.extinct:
+            assert max(per_site) < 1e-10
+        else:
+            assert min(per_site) > 1e-3
+        assert v.extinct == (Fraction(q).denominator >= 4 or (a, b, q) in {
+            (3, 1, "1"), (5, 3, "2")})
+
     def test_singular_with_exact_exponent(self, params21):
         v = classify(Fraction(1, 3), params21)
         assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
