@@ -28,7 +28,6 @@ import json
 # start-up instead of the first command
 import locale  # noqa: F401
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -313,22 +312,25 @@ def _cmd_marcinkiewicz(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _common(p: _Parser) -> None:
-    p.add_argument("--a", default="2", help="tile length a as num/den")
-    p.add_argument("--b", default="1", help="tile length b as num/den")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="accepted and ignored: every command runs in one process")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _tiles(p: _Parser) -> None:
+    p.add_argument("--a", default="2", help="tile length a as num/den")
+    p.add_argument("--b", default="1", help="tile length b as num/den")
 
 
 def _add_sequence(p: _Parser) -> None:
+    _tiles(p)
     p.add_argument("--limit", type=int, default=16, help="largest index n")
 
 
 def _add_diffract(p: _Parser) -> None:
+    _tiles(p)
     p.add_argument("--grid", required=True, help="comma list of q, or start:step:count")
     p.add_argument("--sizes", default="256,1024,4096,16384", help="comma list of l")
+    p.add_argument("--jobs", type=int, help="accepted and ignored: the grid runs in one process")
 
 
 def _add_classify_primes(p: _Parser) -> None:
@@ -336,6 +338,7 @@ def _add_classify_primes(p: _Parser) -> None:
 
 
 def _add_spectrum(p: _Parser) -> None:
+    _tiles(p)
     p.add_argument("--q", required=True, help="comma list of rationals")
 
 
@@ -355,6 +358,7 @@ def _add_marcinkiewicz(p: _Parser) -> None:
     p.add_argument("--weights", default="ones",
                    help=f"weight family: {', '.join(_WEIGHT_FAMILIES)}")
     p.add_argument("--horizon", type=int, default=16, help="log2 horizon")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random family")
 
 
 # name: (help, flags after the common ones, handler), in the order `tmqc -h`

@@ -12,10 +12,11 @@ with alpha in (-1,1) is the singular-continuous signature, and decay like
 With unit weights nu_l reduces to two sums over m < L ~ l/2 of z^m and
 eta_m z^m, z = exp(-i k (a+b)); both split over the binary blocks of L into
 products over its digits, so a density costs O(log l) operations instead of
-an l-term scan.  For rational wave vectors (`density_at_qs`) the products are
-built on the exact frac(2q), shared by every q with the same frac(2q), and
-every phase is reduced on integers first.
-Weighted combs keep the vectorized scan.
+an l-term scan.  One walk core (`_walk_core`) serves every unit-weight
+quantity: it builds the products on the exact frac(2q), shared by every q
+with the same frac(2q), and every phase is reduced on integers first.  A
+float wave vector k takes the same route at q = k(a+b)/(4 pi), rounded
+once to a float.  Weighted combs keep the vectorized scan.
 
 Sign-sequence exponential sums S_l(x) = sum_{j<l} eta_j exp(-2 pi i j x) use
 the same block products, at 2x: S_{2L}(x) = (1 - e^{-2 pi i x}) T_L(2x), so
@@ -124,37 +125,25 @@ def density_at_sizes(
     sizes: Sequence[int],
     params: QuasicrystalParams,
     weights: np.ndarray | None = None,
-    chunk: int = 1 << 20,
 ) -> np.ndarray:
     """Approximant densities nu_l(k) at several truncation sizes, in caller
     order, for a wave vector given as a float.
 
-    With unit weights each size costs O(log l): the block route of
-    `density_at_q`, with z, e^{-ikc}, cos kd and sin kd taken from the
-    float k.  The float k carries the doubling orbit of z exactly only for
-    l < 2^53, so larger sizes raise ValueError; a rational wave vector goes
-    through `density_at_q`, whose phases are exact at every size.
+    With unit weights this is `density_at_q` at the float
+    q = k(a+b)/(4 pi): its table is built on frac(2q), the exact integer
+    ratio of x = k(a+b)/(2 pi), and its phases on the exact frac(q), so the
+    only rounding is that of q itself.  A float carries only 53 bits of the
+    doubling orbit, so sizes from 2^53 on raise ValueError; pass a rational
+    q to `density_at_q` for those.
 
     `weights`, when given, is an array indexed by n-1 covering max(sizes);
     weighted densities are one cumulative O(max(sizes)) pass over n,
     vectorized in chunks.
     """
-    caller_sizes = [int(s) for s in sizes]
-    if not caller_sizes:
-        return np.zeros(0)
-    if min(caller_sizes) < 1:
-        raise ValueError("sizes must be >= 1")
     if weights is not None:
-        return _weighted_density_scan(k, caller_sizes, params, weights, chunk)
-    x = k * float(params.a + params.b) / (2.0 * math.pi)  # z = e^{-2 pi i x}
-    _check_float_orbit(x, max(caller_sizes))
-    kd = k * float((params.a - params.b) / 2)
-    w = cmath.exp(-1j * k * float(params.alpha1))
-    cos_kd, sin_kd = math.cos(kd), math.sin(kd)
-    table = _block_table(*x.as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
-    return np.array([
-        _density(_walk_size(table, l), l, w, cos_kd, sin_kd) for l in caller_sizes
-    ])
+        return _weighted_density_scan(k, _checked_sizes(sizes), params, weights)
+    q = k * float(params.a + params.b) / (4.0 * math.pi)
+    return np.array([nu for nu, _ in density_at_q(q, sizes, params)], dtype=float)
 
 
 def density_at_q(q, sizes: Sequence[int], params: QuasicrystalParams) -> list:
@@ -182,31 +171,16 @@ def density_at_qs(qs: Sequence, sizes: Sequence[int], params: QuasicrystalParams
     |S_{2L}(q)|^2 = 4 sin^2(pi q) |T_L|^2, and at l = 2^n T_L is one
     product entry of the table.
 
-    G_L, T_L and z^L depend on q only through frac(2q), so wave vectors
-    that agree mod 1/2 share one `_block_table` and one walk per size; the
-    table is keyed on frac(2q) in lowest terms as an integer pair.  w,
-    cos kd and sin kd come from the integer numerators of frac(q) and
+    The walks come from `_walk_core`, shared by the q with the same
+    frac(2q).  cos kd and sin kd come from the integer numerator of
     frac(q (a-b)/(a+b)), so every phase is exact at every size.  alpha_l
     is -inf where S_l vanishes and None at l = 1; a density beyond the
-    float range raises ValueError.
+    float range raises ValueError.  A float q is exact too, but stands
+    for a wave vector known to 53 bits, so it is refused from l = 2^53 on.
     """
-    ratios = [Fraction(q).as_integer_ratio() for q in qs]
-    caller_sizes = [int(s) for s in sizes]
-    if not caller_sizes:
-        return [[] for _ in ratios]
-    if min(caller_sizes) < 1:
-        raise ValueError("sizes must be >= 1")
-    top = (max(caller_sizes) // 2).bit_length() - 1
     ratio = (params.a - params.b) / (params.a + params.b)
-    walks = {}  # (num mod den, den) of frac(2q) -> one `_walk_size` per size
     out = []
-    for t, d in ratios:  # q = t/d in lowest terms
-        key = (t % (d >> 1), d >> 1) if d % 2 == 0 else (2 * t % d, d)
-        size_walks = walks.get(key)
-        if size_walks is None:
-            table = _block_table(*key, top)
-            size_walks = walks[key] = [_walk_size(table, l) for l in caller_sizes]
-        w, one_minus_w = _turn(t, d)
+    for (t, d), (w, one_minus_w), walks in _walk_core(qs, sizes):  # q = t/d
         num, den = t * ratio.numerator, d * ratio.denominator
         g = math.gcd(num, den)
         (r,), den = _orbit(num // g, den // g, 1)
@@ -214,28 +188,33 @@ def density_at_qs(qs: Sequence, sizes: Sequence[int], params: QuasicrystalParams
         s = math.ldexp(s, f)
         cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c  # exactly 0 where they vanish
         values = []
-        for l, walk in zip(caller_sizes, size_walks):
+        for walk in walks:
+            l = walk[0]
             try:
-                nu = _density(walk, l, w, cos_kd, sin_kd)
+                nu = _density(walk, w, cos_kd, sin_kd)
             except OverflowError:
                 raise ValueError(f"nu_l at l = {l} exceeds the float range") from None
-            alpha = None if l == 1 else _exponent(_sign_sum(walk, l, one_minus_w), l)
+            alpha = None if l == 1 else _exponent(_sign_sum(walk, one_minus_w), l)
             values.append((nu, alpha))
         out.append(values)
     return out
 
 
-def _density(walk: tuple, l: int, w: complex, cos_kd: float, sin_kd: float) -> float:
-    """nu_l from `_walk_size` at l, with w = e^{-ikc} (see `density_at_q`)."""
-    g, t, z_half, eta = walk
+def _density(walk: tuple, w: complex, cos_kd: float, sin_kd: float) -> float:
+    """nu_l from a `_walk_core` walk, with w = e^{-ikc} (see `density_at_qs`)."""
+    l, g, t, z_half, eta = walk
     total = (1.0 + w * cos_kd) * _unscale(g) - 1j * w * sin_kd * _unscale(t) - 1.0 + z_half
     if l % 2:  # n = l = 2L + 1: f(l) = L(a+b) + c + d eta_L
         total += z_half * w * complex(cos_kd, -eta * sin_kd)
     return abs(total) ** 2 / l
 
 
-def _weighted_density_scan(k, sizes, params, weights, chunk) -> np.ndarray:
-    """The weighted comb: one cumulative pass over n up to max(sizes)."""
+def _weighted_density_scan(k, sizes, params, weights) -> np.ndarray:
+    """The weighted comb: one cumulative pass over n up to max(sizes), in
+    vectorized chunks of 2^20 terms."""
+    if not sizes:
+        return np.zeros(0)
+    chunk = 1 << 20
     sorted_idx = np.argsort(sizes, kind="stable")
     sizes_arr = np.asarray(sizes, dtype=np.int64)[sorted_idx]
     l_max = int(sizes_arr[-1])
@@ -292,16 +271,6 @@ def _orbit(num: int, den: int, n: int) -> tuple:
         out.append(num if 2 * num <= den else num - den)
         num = 2 * num % den
     return out, den
-
-
-def _check_float_orbit(x, l: int) -> None:
-    """Refuse a float frequency at sizes its 53-bit doubling orbit cannot
-    resolve (the orbit of a float reaches 0 after about 53 doublings)."""
-    if l >= FLOAT_ORBIT_LIMIT and not isinstance(x, (Fraction, int)):
-        raise ValueError(
-            f"l = {l} needs more of the frequency's doubling orbit than the 53 "
-            "bits of a float hold (float frequencies need l < 2^53); pass a Fraction"
-        )
 
 
 def _rescale(m: complex, e: int) -> tuple:
@@ -388,12 +357,14 @@ def _block_table(num: int, den: int, top: int) -> tuple:
 
 
 def _walk_blocks(table: tuple, big_l: int) -> tuple:
-    """(G_L, T_L, z^L) from a `_block_table` that reaches the top bit of L.
+    """(G_L, T_L, z^L, eta_L) from a `_block_table` that reaches the top
+    bit of L.
 
     A binary block of L of length 2^j at offset o (the sum of the higher
     bits of L) contributes z^o prod_g[j] to G_L and eta_o z^o prod_t[j] to
-    T_L.  G_L and T_L are (mantissa, exponent) pairs, value =
-    mantissa * 2^exponent, so no L overflows or underflows.
+    T_L; past the last block the offset is L.  G_L and T_L are
+    (mantissa, exponent) pairs, value = mantissa * 2^exponent, so no L
+    overflows or underflows.
     """
     prod_g, prod_t, steps = table
     g = t = (0j, 0)
@@ -406,28 +377,62 @@ def _walk_blocks(table: tuple, big_l: int) -> tuple:
             t = _add_scaled(t, (eta_off * z_off * m, e))
             z_off *= steps[j]
             eta_off = -eta_off
-    return g, t, z_off
+    return g, t, z_off, eta_off
 
 
 def _block_sums(x, big_l: int) -> tuple:
     """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
     L >= 1, in O(log L) operations; returns (G_L, T_L, z^L)."""
-    return _walk_blocks(_block_table(*x.as_integer_ratio(), big_l.bit_length() - 1), big_l)
+    return _walk_blocks(_block_table(*x.as_integer_ratio(), big_l.bit_length() - 1), big_l)[:3]
 
 
-def _walk_size(table: tuple, l: int) -> tuple:
-    """(G_L, T_L, z^L, eta_L) at L = floor(l/2): the walk that serves both
-    the density and the sign sum at size l (`density_at_q`)."""
-    half = l // 2
-    return (*_walk_blocks(table, half), -1 if bin(half).count("1") & 1 else 1)
+def _checked_sizes(sizes: Sequence[int], least: int = 1) -> list:
+    """The sizes as ints; ValueError if one is below `least` (1 or 2)."""
+    sizes = [int(s) for s in sizes]
+    if sizes and min(sizes) < least:
+        raise ValueError("sizes must be >= 1" if least == 1 else f"l must be >= {least}")
+    return sizes
 
 
-def _sign_sum(walk: tuple, l: int, one_minus_w: tuple) -> tuple:
-    """S_l(x) as a (mantissa, exponent) pair from `_walk_size` at l on the
-    table at 2x, with one_minus_w = 1 - e^{-2 pi i x} (`_turn`):
+def _walk_core(xs: Sequence, sizes: Sequence[int], least: int = 1) -> list:
+    """The unit-weight route: for each frequency x of `xs`, in order,
+    ((t, d), (w, 1 - w), walks), with x = t/d in lowest terms, w and 1 - w
+    from `_turn`, and one walk (l, G_L, T_L, z^L, eta_L) at L = floor(l/2)
+    for each size l, in caller order, on the table at z = e^{-2 pi i (2x)}.
+
+    Frequencies that agree mod 1/2 share one `_block_table`, built up to
+    the top bit of the largest L and keyed on frac(2x) in lowest terms as
+    an integer pair, and one list of walks.  A float x carries only 53 bits
+    of its doubling orbit, so a float among `xs` is refused from
+    l = 2^53 on; Fractions and ints are exact at every size.
+    """
+    ratios = [Fraction(x).as_integer_ratio() for x in xs]
+    sizes = _checked_sizes(sizes, least)
+    largest = max(sizes, default=0)
+    if largest >= FLOAT_ORBIT_LIMIT and not all(isinstance(x, (Fraction, int)) for x in xs):
+        raise ValueError(
+            f"l = {largest} needs more of the frequency's doubling orbit than the 53 "
+            "bits of a float hold (float frequencies need l < 2^53); pass a Fraction"
+        )
+    top = (largest // 2).bit_length() - 1
+    walks = {}  # (num mod den, den) of frac(2x) -> the walks of its table
+    out = []
+    for t, d in ratios:
+        key = (t % (d >> 1), d >> 1) if d % 2 == 0 else (2 * t % d, d)
+        size_walks = walks.get(key)
+        if size_walks is None:
+            table = _block_table(*key, top)
+            size_walks = walks[key] = [(l, *_walk_blocks(table, l // 2)) for l in sizes]
+        out.append(((t, d), _turn(t, d), size_walks))
+    return out
+
+
+def _sign_sum(walk: tuple, one_minus_w: tuple) -> tuple:
+    """S_l(x) as a (mantissa, exponent) pair from a `_walk_core` walk at l,
+    with one_minus_w = 1 - e^{-2 pi i x} (`_turn`):
     S_{2L}(x) = (1 - e^{-2 pi i x}) T_L(2x), and odd l adds the last term
     eta_{2L} e^{-2 pi i 2L x} = eta_L z^L."""
-    _, (m, e), z_half, eta = walk
+    l, _, (m, e), z_half, eta = walk
     s = (one_minus_w[0] * m, one_minus_w[1] + e)
     if l % 2:
         s = _add_scaled(s, (eta * z_half, 0))
@@ -461,22 +466,16 @@ def eta_sum(l: int, x: float) -> complex:
 def eta_sums_at_sizes(x, sizes: Sequence[int]) -> np.ndarray:
     """|S_l(x)|^2 / l at several sizes l, in caller order; O(log l) each.
 
-    S_l(x) comes from one `_block_table` at 2x built for the largest size
-    (`_sign_sum`; doubling a float is exact).  x is a float or a Fraction:
-    a Fraction's doubling orbit is exact at every l, a float's only for
-    l < 2^53, so larger sizes with a float x raise ValueError.
+    S_l(x) comes from the `_walk_core` walks at x (`_sign_sum`).  x is a
+    float or a Fraction: a Fraction's doubling orbit is exact at every l, a
+    float's only for l < 2^53, so larger sizes with a float x raise
+    ValueError.
     """
-    caller_sizes = [int(s) for s in sizes]
-    if not caller_sizes:
-        return np.zeros(0)
-    if min(caller_sizes) < 1:
-        raise ValueError("sizes must be >= 1")
-    _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(*(2 * x).as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
-    one_minus_w = _turn(*x.as_integer_ratio())[1]
-    out = np.empty(len(caller_sizes))
-    for idx, l in enumerate(caller_sizes):
-        m, e = _sign_sum(_walk_size(table, l), l, one_minus_w)
+    ((_, (_, one_minus_w), walks),) = _walk_core([x], sizes)
+    out = np.empty(len(walks))
+    for idx, walk in enumerate(walks):
+        l = walk[0]
+        m, e = _sign_sum(walk, one_minus_w)
         top = l.bit_length() - 1
         try:  # |m|^2 2^{2e} / l with l = 2^top * (l / 2^top)
             out[idx] = math.ldexp(abs(m) ** 2, 2 * e - top) / (l / (1 << top))
@@ -513,21 +512,14 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
     """alpha_l(x) for several sizes l >= 2, in caller order, as floats.
 
     Returns -inf (the explicit extinction marker) where the sum vanishes.
-    One `_block_table` at 2x is built for the largest size and walked once
-    per size (`_sign_sum`); at l = 2^n the walk reads one product entry,
-    and a zero factor makes it exactly 0.  O(log l) per size, never
-    overflowing, so l may be astronomically large when x is a Fraction
-    (exact orbit).  A float x is limited to l < 2^53 (ValueError beyond).
+    The `_walk_core` walks at x give S_l (`_sign_sum`); at l = 2^n the walk
+    reads one product entry, and a zero factor makes it exactly 0.
+    O(log l) per size, never overflowing, so l may be astronomically large
+    when x is a Fraction (exact orbit).  A float x is limited to l < 2^53
+    (ValueError beyond).
     """
-    caller_sizes = [int(s) for s in sizes]
-    if not caller_sizes:
-        return []
-    if min(caller_sizes) < 2:
-        raise ValueError("l must be >= 2")
-    _check_float_orbit(x, max(caller_sizes))
-    table = _block_table(*(2 * x).as_integer_ratio(), (max(caller_sizes) // 2).bit_length() - 1)
-    one_minus_w = _turn(*x.as_integer_ratio())[1]
-    return [_exponent(_sign_sum(_walk_size(table, l), l, one_minus_w), l) for l in caller_sizes]
+    ((_, (_, one_minus_w), walks),) = _walk_core([x], sizes, least=2)
+    return [_exponent(_sign_sum(walk, one_minus_w), walk[0]) for walk in walks]
 
 
 # ---------------------------------------------------------------------------

@@ -530,13 +530,14 @@ def transfer_matrix(p: int, verify_up_to: int = 50) -> TransferMatrix:
 def profile_period_factor(p: int) -> int:
     """The integer r in the profile argument log n / (r s log 2): the smallest
     r in {1, 2, 4} for which the dominant eigenvalue power xi^r is real and
-    positive, so that the interpolating profile has period one."""
-    xi = eigenvalues_explicit(p)[0]
-    for r in (1, 2, 4):
-        z = xi**r
-        if abs(z.imag) <= 1e-9 * abs(z) and z.real > 0:
-            return r
-    raise ValueError(f"no period factor in {{1,2,4}} for p={p}")
+    positive, so that the interpolating profile has period one.
+
+    Read exactly off the dominant coset: xi = (-i)^s sign |xi| = |xi| (-i)^a
+    with a = s + 2 [sign < 0] mod 4, so r = 1 at a = 0, 2 at a = 2 and 4
+    at odd a."""
+    sp = _coset_spectrum(p)
+    a = (sp.s + (2 if sp.signs[0] < 0 else 0)) % 4
+    return (1, 4, 2, 4)[a]
 
 
 def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:

@@ -94,10 +94,6 @@ class QuasicrystalParams:
         ai, bi = int(a * den), int(b * den)
         object.__setattr__(self, "gab_value", Fraction(gcd(ai - bi, ai + bi), den))
 
-    @classmethod
-    def from_strings(cls, a: str, b: str) -> "QuasicrystalParams":
-        return cls(Fraction(a), Fraction(b))
-
     @property
     def alpha1(self) -> Fraction:
         return (self.a + self.b) / 2

@@ -499,6 +499,12 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert "--jobs" in err and "invalid int value" in err
 
+    def test_key_of_another_command_is_ignored(self, capsys, tmp_path):
+        argv = ["rarefy", "--p", "5", "--limit", "6"]
+        code, out, err = self._run_with_config(capsys, tmp_path, {"seed": 3}, argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(argv, capsys)[1]
+
     def test_choices_apply_to_config_values(self, capsys, tmp_path):
         code, out, err = self._run_with_config(
             capsys, tmp_path, {"format": "xml"}, ["sequence"])
@@ -554,6 +560,29 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1
+
+
+class TestPerCommandFlags:
+    """Each subcommand takes only the flags it reads: tiles for sequence,
+    diffract and spectrum, --jobs for diffract, --seed for marcinkiewicz."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rarefy", "--p", "5", "--seed", "1"],
+        ["profile", "--p", "3", "--a", "3"],
+        ["classify-primes", "--jobs", "2"],
+        ["spectrum", "--q", "1/3", "--seed", "1"],
+    ], ids=" ".join)
+    def test_flag_of_another_command_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+
+    def test_flags_where_they_are_read(self, capsys):
+        for argv in (["sequence", "--limit", "2", "--a", "3"],
+                     ["diffract", "--grid", "1/3", "--sizes", "8", "--jobs", "1", "--b", "1/2"],
+                     ["spectrum", "--q", "1/3", "--a", "5", "--b", "2"],
+                     ["marcinkiewicz", "--weights", "random", "--seed", "3", "--horizon", "4"]):
+            assert run_cli(argv, capsys)[0] == 0
 
 
 def _main_outcome(argv):

@@ -413,20 +413,6 @@ class TestFloatFrequencyLimit:
         assert value > 0 and math.isfinite(value)
 
 
-def _one_shot_density(k, l, params):
-    """nu_l(k) from one `_block_sums` at floor(l/2) alone."""
-    x = k * float(params.a + params.b) / (2.0 * math.pi)
-    kd = k * float((params.a - params.b) / 2)
-    w = cmath.exp(-1j * k * float(params.alpha1))
-    cos_kd, sin_kd = math.cos(kd), math.sin(kd)
-    g, t, z_half = diffract._block_sums(x, l // 2)
-    total = ((1.0 + w * cos_kd) * diffract._unscale(g)
-             - 1j * w * sin_kd * diffract._unscale(t) - 1.0 + z_half)
-    if l % 2:
-        total += z_half * w * complex(cos_kd, -tm_sign(l // 2) * sin_kd)
-    return abs(total) ** 2 / l
-
-
 def _one_shot_sign_sum(x, l):
     """S_l(x) as a (mantissa, exponent) pair from one `_block_sums` at 2x
     and floor(l/2) alone: (1 - e^{-2 pi i x}) T_L(2x), plus eta_L z^L for
@@ -486,8 +472,10 @@ class TestBlockTable:
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(params=_tiles(), k=_FLOAT_FREQS, sizes=_size_lists(_FLOAT_LIMIT))
     def test_densities(self, params, k, sizes):
+        # the float k goes through the exact route at q = x/2, x = k(a+b)/(2 pi)
+        q = Fraction(k * float(params.a + params.b) / (2.0 * math.pi)) / 2
         got = density_at_sizes(k, sizes, params)
-        assert list(got) == [_one_shot_density(k, l, params) for l in sizes]
+        assert list(got) == [_one_shot_q_density(q, l, params) for l in sizes]
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(x=_FLOAT_FREQS, sizes=_size_lists(_FLOAT_LIMIT))
@@ -681,6 +669,37 @@ class TestDensityAtQs:
         assert density_at_qs([Fraction(1, 3), Fraction(5, 6)], [], params21) == [[], []]
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             density_at_qs([Fraction(1, 3)], [4, 0], params21)
+
+
+_TILES_21 = QuasicrystalParams(Fraction(2), Fraction(1))
+_FRONT_ENDS = [  # (call at frequency x, empty result, smallest size, its message)
+    pytest.param(lambda x, sizes: density_at_sizes(x, sizes, _TILES_21), np.zeros(0),
+                 1, "sizes must be >= 1", id="density_at_sizes"),
+    pytest.param(lambda x, sizes: density_at_qs([x], sizes, _TILES_21), [[]],
+                 1, "sizes must be >= 1", id="density_at_qs"),
+    pytest.param(eta_sums_at_sizes, np.zeros(0), 1, "sizes must be >= 1", id="eta_sums_at_sizes"),
+    pytest.param(scaling_exponents_at_sizes, [], 2, "l must be >= 2",
+                 id="scaling_exponents_at_sizes"),
+]
+
+
+class TestFrontEnds:
+    """The four front ends of the unit-weight walk core share its checks."""
+
+    @pytest.mark.parametrize("call, empty, least, message", _FRONT_ENDS)
+    def test_refusal_contract(self, call, empty, least, message):
+        got = call(0.3, [])
+        if isinstance(empty, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
+        else:
+            assert got == empty
+        for bad in ([0], [least - 1], [64, 0], [-3, 64]):
+            with pytest.raises(ValueError, match=message):
+                call(0.3, bad)
+        for big in ([1 << 53], [16, (1 << 53) + 1]):
+            with pytest.raises(ValueError, match="pass a Fraction"):
+                call(0.3, big)
+        call(0.3, [least, (1 << 53) - 1])  # just below the limit a float is accepted
 
 
 class TestFittedAlpha:

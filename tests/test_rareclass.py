@@ -467,6 +467,15 @@ class TestProfiles:
         assert profile_period_factor(3) == 1
         assert profile_period_factor(17) == 1
         assert profile_period_factor(7) == 4
+        # the smallest r in (1, 2, 4) with xi^r real and positive, for the
+        # dominant eigenvalue xi; it is finite here: |xi| = p where 2
+        # generates (Z/p)^*, else |xi| <= 2^s <= 2^999
+        for p in _ODD_PRIMES_2000:
+            xi = eigenvalues_explicit(p)[0]
+            unit = xi / abs(xi)
+            r = next(r for r in (1, 2, 4)
+                     if abs((unit**r).imag) <= 1e-9 and (unit**r).real > 0)
+            assert profile_period_factor(p) == r, p
 
     def test_p3_profile_within_closed_interval(self):
         prof = fractal_profile(3, 0, 16, resolution=128)
