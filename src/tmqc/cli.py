@@ -31,6 +31,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -109,7 +110,9 @@ def _parse_grid(spec: str) -> list:
             raise UsageError("grid count must be an integer") from exc
         if count < 0:
             raise UsageError("grid count must be >= 0")
-        return [start + i * step for i in range(count)]
+        # start + i * step as running sums: the same exact values, one
+        # Fraction addition each instead of a product and a sum
+        return list(accumulate(repeat(step, count), initial=start))[:count]
     return [_parse_fraction(tok) for tok in spec.split(",") if tok.strip()]
 
 
@@ -154,6 +157,10 @@ def _emit(columns: list, rows: list, fmt: str, out_path: str | None) -> None:
         ) + "\n  }\n]\n"
     else:
         text = "[]\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -163,7 +170,7 @@ def _emit(columns: list, rows: list, fmt: str, out_path: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (columns, rows), a row being a tuple in column
-# order
+# order, for `_emit`; `rarefy` returns its finished text instead
 # ---------------------------------------------------------------------------
 
 def _cmd_sequence(args) -> tuple:
@@ -252,21 +259,39 @@ def _cmd_profile(args) -> tuple:
         )
     except ValueError as exc:  # p, residue, horizon or resolution out of range
         raise UsageError(str(exc)) from exc
-    rows = [
-        (float(x), float(v), float(rw), int(n))
-        for x, v, rw, n in zip(prof.x, prof.values, prof.raw, prof.n_samples)
-    ]
+    rows = list(zip(prof.x.tolist(), prof.values.tolist(), prof.raw.tolist(),
+                    prof.n_samples.tolist()))
     # bounds summary row goes last so column-oriented plotting can drop it
     rows.append((None, prof.bounds[0], prof.bounds[1], None))
     return ["x", "psi", "raw", "n"], rows
 
 
-def _cmd_rarefy(args) -> tuple:
+def _cmd_rarefy(args) -> str:
+    """The table of S_{p,*}(n), n = 0..limit, in the bytes `_emit` would
+    write, rendered from the running scan `rareclass.rarefied_rows`.  Row n
+    differs from row n - 1 only at residue (n - 1) mod p, so each cell keeps
+    its text, one cell is formatted per row, and a row is one `join`.  The
+    whole text is built before anything is written, so a failed check of
+    the scan writes nothing."""
+    p = args.p
+    if args.format == "csv":
+        n_label, labels, sep = "", [""] * p, ","
+        head = ",".join(["n"] + [f"s{i}" for i in range(p)]) + "\n"
+        between, tail = "\n", "\n"
+    else:  # the indent=2 layout of json.dumps, as in `_emit`
+        n_label, labels, sep = '"n": ', [f'"s{i}": ' for i in range(p)], ",\n    "
+        head, between, tail = "[\n  {\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"
+    cells = [label + "0" for label in labels]
+    lines = []
     try:
-        rows = [(n, *row) for n, row in enumerate(rareclass.rarefied_rows(args.p, args.limit))]
+        for n, row in enumerate(rareclass.rarefied_rows(p, args.limit)):
+            if n:
+                i = (n - 1) % p
+                cells[i] = labels[i] + str(row[i])
+            lines.append(n_label + str(n) + sep + sep.join(cells))
     except ValueError as exc:  # p or limit out of range
         raise UsageError(str(exc)) from exc
-    return ["n"] + [f"s{i}" for i in range(args.p)], rows
+    return head + between.join(lines) + tail
 
 
 _WEIGHT_FAMILIES = ("ones", "zero", "squares", "random")
@@ -471,8 +496,11 @@ def main(argv: list | None = None) -> int:
             args.b = _parse_fraction(str(args.b))
             if not 0 < args.b < args.a:
                 raise UsageError("tile lengths must satisfy 0 < b < a")
-        columns, rows = _SUBCOMMANDS[args.command][2](args)
-        _emit(columns, rows, args.format, args.out)
+        table = _SUBCOMMANDS[args.command][2](args)
+        if isinstance(table, str):
+            _write(table, args.out)
+        else:
+            _emit(*table, args.format, args.out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

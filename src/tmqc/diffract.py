@@ -218,6 +218,10 @@ def _weighted_density_scan(k, sizes, params, weights) -> np.ndarray:
     sorted_idx = np.argsort(sizes, kind="stable")
     sizes_arr = np.asarray(sizes, dtype=np.int64)[sorted_idx]
     l_max = int(sizes_arr[-1])
+    if len(weights) < l_max:
+        raise ValueError(
+            f"weights must cover max(sizes) = {l_max} terms, not len(weights) = {len(weights)}"
+        )
     half_sum = float(params.alpha1)
     half_diff = float((params.a - params.b) / 2)
     out = np.empty(len(sizes_arr))

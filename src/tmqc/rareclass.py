@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -574,6 +575,13 @@ def _refined_row(mat: TransferMatrix, j: int, k: int) -> list:
     return [c[(j - i) % mat.p] for i in range(mat.p)]
 
 
+def _refined_dot(row: Sequence[int], sv: Sequence[int]) -> int:
+    """The refined value sum_i row[i] S_i, exact in Python ints (the
+    entries of M^k grow like lambda_1^k and overflow int64), with the loop
+    in C."""
+    return sum(map(operator.mul, row, sv))
+
+
 @dataclass(frozen=True)
 class FractalProfile:
     """Samples of the log-periodic profile for one residue j.
@@ -613,8 +621,7 @@ def profile_value(p: int, j: int, n: int, mat: TransferMatrix | None = None) -> 
         raise ValueError("n must be >= 1")
     k_apps, scale = _profile_refinement(p, mat.exponents)
     row = _refined_row(mat, j, k_apps)
-    refined = sum(c * v for c, v in zip(row, _svec(p, n)))
-    return refined / (scale * float(n) ** mat.exponents.beta)
+    return _refined_dot(row, _svec(p, n)) / (scale * float(n) ** mat.exponents.beta)
 
 
 # the largest horizon: the batched recursion needs every sample n < 2^63
@@ -669,11 +676,10 @@ def fractal_profile(
             seen.add(n)
             ns.append(n)
     xs, vals, raws = [], [], []
-    # refined values in Python ints: c ~ lambda_1^k and S overflow int64
     for n, sv in zip(ns, _svec_batch(p, ns).tolist()):
         nb = float(n) ** beta
         raws.append(sv[j] / nb)
-        vals.append(sum(c * v for c, v in zip(row, sv)) / (scale * nb))
+        vals.append(_refined_dot(row, sv) / (scale * nb))
         xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
     order = np.argsort(np.array(xs))
     x_arr = np.array(xs)[order]

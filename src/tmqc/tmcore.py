@@ -83,6 +83,8 @@ class QuasicrystalParams:
     a: Fraction
     b: Fraction
     gab_value: Fraction = field(init=False)
+    # 4 pi/(a+b) as a float, the factor of `wave_vector`
+    _k_per_q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, b = Fraction(self.a), Fraction(self.b)
@@ -93,6 +95,7 @@ class QuasicrystalParams:
         den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
         ai, bi = int(a * den), int(b * den)
         object.__setattr__(self, "gab_value", Fraction(gcd(ai - bi, ai + bi), den))
+        object.__setattr__(self, "_k_per_q", 4.0 * np.pi / float(a + b))
 
     @property
     def alpha1(self) -> Fraction:
@@ -108,7 +111,7 @@ class QuasicrystalParams:
 
     def wave_vector(self, q: Fraction | float) -> float:
         """Physical wave vector k = (4*pi/(a+b)) * q."""
-        return 4.0 * np.pi / float(self.a + self.b) * float(q)
+        return self._k_per_q * float(q)
 
 
 def gab(a: int, b: int) -> int:

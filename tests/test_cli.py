@@ -9,10 +9,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmqc import cli, diffract, rareclass, tmcore
 
@@ -393,7 +396,66 @@ class TestProfileCommand:
         assert message in err and "Traceback" not in err
 
 
+def _reference_rarefy(p, limit, fmt):
+    """The rarefy table as the generic writers render the scan's rows."""
+    columns = ["n"] + [f"s{i}" for i in range(p)]
+    rows = [(n, *row) for n, row in enumerate(rareclass.rarefied_rows(p, limit))]
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else the first line that differs (a
+    plain == on megabyte strings has pytest diff them for minutes)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+             min(len(got_lines), len(want_lines)))
+    return i, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+@st.composite
+def _rarefy_cases(draw):
+    """(p, limit, format, to_file): odd p <= 301, and a limit of 0, below
+    p, equal to p or up to 3p."""
+    p = draw(st.integers(1, 150).map(lambda k: 2 * k + 1))
+    limit = draw(st.one_of(st.just(0), st.integers(1, p - 1), st.just(p),
+                           st.integers(p + 1, 3 * p)))
+    return p, limit, draw(st.sampled_from(["csv", "json"])), draw(st.booleans())
+
+
 class TestRarefy:
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(case=_rarefy_cases())
+    @example(case=(3, 0, "csv", False))
+    @example(case=(301, 301, "json", True))
+    @example(case=(301, 903, "csv", True))
+    def test_table_is_the_reference_rendering(self, case):
+        # the table is rendered cell by cell from the running scan; it must
+        # give the bytes csv.writer and json.dumps give for the same rows
+        p, limit, fmt, to_file = case
+        argv = ["rarefy", "--p", str(p), "--limit", str(limit), "--format", fmt]
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table")
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv + (["--out", path] if to_file else []))
+            if to_file:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+        assert code == 0
+        if to_file:
+            assert stdout.getvalue() == ""
+        else:
+            text = stdout.getvalue()
+        assert _first_difference(text, _reference_rarefy(p, limit, fmt)) is None
+
     def test_vectors(self, capsys):
         code, out, _ = run_cli(["rarefy", "--p", "3", "--limit", "4"], capsys)
         assert code == 0

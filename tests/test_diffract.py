@@ -701,6 +701,15 @@ class TestFrontEnds:
                 call(0.3, big)
         call(0.3, [least, (1 << 53) - 1])  # just below the limit a float is accepted
 
+    def test_short_weights_are_refused_by_name(self, params21):
+        # numpy's broadcast error from inside the chunk loop named neither
+        for sizes, have in (([10], 5), ([3, 12, 7], 11), ([(1 << 20) + 2], (1 << 20) + 1)):
+            with pytest.raises(ValueError, match=rf"max\(sizes\) = {max(sizes)} .*"
+                                                 rf"len\(weights\) = {have}$"):
+                density_at_sizes(1.0, sizes, params21, weights=np.ones(have))
+        got = density_at_sizes(1.0, [3, 12], params21, weights=np.ones(12))
+        assert np.array_equal(got, density_at_sizes(1.0, [3, 12], params21, weights=np.ones(40)))
+
 
 class TestFittedAlpha:
     def test_bragg_origin(self, params21):

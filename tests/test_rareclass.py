@@ -225,6 +225,27 @@ class TestProfileBitIdentity:
                 expected = refined[j] / (scale * float(n) ** mat.exponents.beta)
                 assert rareclass.profile_value(p, j, n, mat) == expected
 
+    @pytest.mark.parametrize("p", [3, 7, 17, 137])  # P1, P23, P21, P21
+    def test_refined_dot_equals_the_generator(self, p):
+        mat = transfer_matrix(p, verify_up_to=0)
+        k_apps, _ = rareclass._profile_refinement(p, mat.exponents)
+        ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1]
+        svs = rareclass._svec_batch(p, ns).tolist() + [rareclass._svec(p, (1 << 70) + 12345)]
+        for j in sorted({*range(0, p, max(1, p // 9)), p - 1}):
+            row = rareclass._refined_row(mat, j, k_apps)
+            for sv in svs:
+                got = rareclass._refined_dot(row, sv)
+                assert type(got) is int
+                assert got == sum(c * v for c, v in zip(row, sv))
+
+    @pytest.mark.parametrize("p, horizon", [(3, 24), (7, 30), (17, 48), (137, 40)])
+    def test_profile_value_matches_fractal_profile(self, p, horizon):
+        mat = transfer_matrix(p, verify_up_to=0)
+        for j in (0, p // 2, p - 1):
+            prof = fractal_profile(p, j, horizon, resolution=16)
+            got = [rareclass.profile_value(p, j, n, mat) for n in prof.n_samples.tolist()]
+            assert np.array_equal(np.array(got), prof.values)
+
     def test_samples_never_apply_the_matrix(self, monkeypatch):
         calls = []
         real = rareclass.TransferMatrix.apply
