@@ -3,7 +3,7 @@
 For an odd integer p >= 3 and residue i, S_{p,i}(n) is the sum of eta_m over
 m < n with m = i (mod p).  The vector S(n) of all p residues obeys the exact
 doubling relation S(2^s n) = M S(n), where s is the multiplicative order of 2
-mod p and M is the p x p circulant matrix with entries S_{p,i-j}(2^s).  The
+mod p and M is the p x p circulant matrix M[i][j] = S_{p,i-j}(2^s).  The
 spectrum of M drives everything: the leading modulus lambda_1 gives the
 growth exponent beta = log(lambda_1)/(s log 2), and continuous log-periodic
 profiles psi_{p,j} interpolate S_{p,j}(n)/n^beta.
@@ -143,21 +143,23 @@ def _check_column_sums(n_arr: np.ndarray, vecs: np.ndarray) -> None:
         )
 
 
-def rarefied_sum(p: int, i: int, n: int) -> int:
-    """S_{p,i}(n), exact, via the digit recursion (O(p log n))."""
+def _check_sum_args(p: int, i: int, n: int) -> None:
     _check_p(p)
     if not 0 <= i < p:
         raise ValueError("residue i must lie in [0, p)")
     if n < 0:
         raise ValueError("n must be >= 0")
+
+
+def rarefied_sum(p: int, i: int, n: int) -> int:
+    """S_{p,i}(n), exact, via the digit recursion (O(p log n))."""
+    _check_sum_args(p, i, n)
     return _svec(p, n)[i]
 
 
 def rarefied_sum_direct(p: int, i: int, n: int) -> int:
     """Oracle implementation: plain O(n/p) summation over the progression."""
-    _check_p(p)
-    if not 0 <= i < p:
-        raise ValueError("residue i must lie in [0, p)")
+    _check_sum_args(p, i, n)
     return sum(tm_sign(m) for m in range(i, n, p))
 
 
@@ -218,7 +220,7 @@ def rarefied_series(p: int, i: int, n_max: int, chunk: int = 1 << 22) -> np.ndar
 
     Values are bounded by n_max, far inside int64 range.
     """
-    _check_p(p)
+    _check_sum_args(p, i, n_max)
     out = np.empty(n_max, dtype=np.int64)
     total = 0
     for start in range(0, n_max, chunk):
@@ -470,20 +472,20 @@ class ScalingExponents:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """The circulant p x p integer matrix M with M[i][j] = S_{p,i-j}(2^s)."""
+    """The circulant p x p matrix M[i][j] = S_{p,i-j}(2^s), held as its column."""
 
     p: int
     s: int
-    entries: tuple              # row tuples, exact integers
+    column: tuple               # (S_{p,0}(2^s), ..., S_{p,p-1}(2^s)), exact
     eigenvalues: tuple          # explicit coset eigenvalues, |.| descending
     exponents: ScalingExponents
 
-    def column(self) -> tuple:
-        """First column (S_{p,0}(2^s), ..., S_{p,p-1}(2^s))."""
-        return tuple(row[0] for row in self.entries)
-
     def apply(self, vec: Sequence[int]) -> list:
-        return [sum(row[j] * vec[j] for j in range(self.p)) for row in self.entries]
+        """M vec, exact: (M vec)_i is a reversed window of the doubled column."""
+        if len(vec) != self.p:
+            raise ValueError(f"vec must have p={self.p} entries, got {len(vec)}")
+        cc = self.column * 2
+        return [sum(map(operator.mul, cc[i + self.p:i:-1], vec)) for i in range(self.p)]
 
     def eigenvalue_moduli_with_multiplicity(self) -> list:
         """Moduli of the full p-point spectrum: each coset value s-fold, plus
@@ -510,14 +512,11 @@ def scaling_exponents(p: int, boundary_tol: float = 1e-9) -> ScalingExponents:
 
 
 def transfer_matrix(p: int, verify_up_to: int = 50) -> TransferMatrix:
-    """Build M = (S_{p,i-j}(2^s)) and verify S(2^s n) = M S(n) exactly on
-    n = 1..verify_up_to before returning."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    """Build M from its column S_{p,*}(2^s) (`order_of_two` refuses all but odd
+    primes) and verify S(2^s n) = M S(n) exactly on n = 1..verify_up_to."""
     s = order_of_two(p)
-    col = _svec(p, 1 << s)
-    rows = tuple(tuple(col[(i - j) % p] for j in range(p)) for i in range(p))
-    mat = TransferMatrix(p, s, rows, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
+    col = tuple(_svec(p, 1 << s))
+    mat = TransferMatrix(p, s, col, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
     for n in range(1, verify_up_to + 1):
         if mat.apply(_svec(p, n)) != _svec(p, n << s):
             raise ArithmeticError(f"transfer recursion failed at p={p}, n={n}")
@@ -577,7 +576,7 @@ def _refined_row(mat: TransferMatrix, j: int, k: int) -> list:
 
 def _refined_dot(row: Sequence[int], sv: Sequence[int]) -> int:
     """The refined value sum_i row[i] S_i, exact in Python ints (the
-    entries of M^k grow like lambda_1^k and overflow int64), with the loop
+    values of M^k grow like lambda_1^k and overflow int64), with the loop
     in C."""
     return sum(map(operator.mul, row, sv))
 

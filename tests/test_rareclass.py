@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import circulant
 
 from tmqc import diffract, quadfield, rareclass
 from tmqc.rareclass import (
@@ -99,6 +102,20 @@ class TestRarefiedSums:
             rarefied_sum(4, 0, 10)
         with pytest.raises(ValueError):
             rarefied_sum(3, 3, 10)
+        # the oracle refuses what the production route refuses
+        for route in (rarefied_sum, rarefied_sum_direct):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                route(3, 0, -4)
+
+    def test_series_rejects_bad_arguments(self):
+        # a residue outside [0, p) once gave silent zeros
+        with pytest.raises(ValueError, match=r"residue i must lie in \[0, p\)"):
+            rarefied_series(3, 5, 6)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rarefied_series(3, 0, -1)
+        with pytest.raises(ValueError, match="odd"):
+            rarefied_series(4, 0, 6)
+        assert rarefied_series(3, 2, 0).shape == (0,)
 
 
 def _svec_by_inverse_dft(p, n):
@@ -264,9 +281,9 @@ class TestTransferMatrix:
     def test_p3_entries(self):
         mat = transfer_matrix(3)
         assert mat.s == 2
-        assert mat.column() == (2, -1, -1)
+        assert mat.column == (2, -1, -1)
         # circulant structure
-        assert mat.entries[1] == (-1, 2, -1)
+        assert circulant(mat.column)[1].tolist() == [-1, 2, -1]
 
     def test_recursion_example(self):
         mat = transfer_matrix(3)
@@ -277,11 +294,40 @@ class TestTransferMatrix:
     def test_p7_column_balances(self):
         mat = transfer_matrix(7)
         assert mat.s == 3
-        assert sum(mat.column()) == 0
+        assert sum(mat.column) == 0
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            transfer_matrix(9)
+        for p in (9, 2, 1):
+            with pytest.raises(ValueError, match="odd prime"):
+                transfer_matrix(p)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(data=st.data(),
+           p=st.sampled_from([q for q in range(3, 258) if quadfield.is_prime(q)]))
+    def test_apply_is_the_dense_circulant_product(self, data, p):
+        mat = transfer_matrix(p, verify_up_to=0)
+        vec = data.draw(st.lists(st.integers(-(1 << 200), 1 << 200), min_size=p, max_size=p))
+        # the dense M in Python ints (object dtype): its column entries reach
+        # 2^s / p, beyond int64 for s > 63
+        dense = circulant(np.array(mat.column, dtype=object)).tolist()
+        assert mat.apply(vec) == [sum(a * b for a, b in zip(row, vec)) for row in dense]
+
+    def test_apply_refuses_a_vector_of_the_wrong_length(self):
+        mat = transfer_matrix(3)
+        for vec in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match="p=3 entries"):
+                mat.apply(vec)
+
+    def test_holds_o_p_integers(self):
+        tracemalloc.start()
+        try:
+            mat = transfer_matrix(8191, verify_up_to=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mat.column) == 8191
+        # the p^2 row tuples held 512 MB here
+        assert peak < 16 << 20
 
     def test_violated_recursion_is_arithmetic_error(self, monkeypatch):
         real = rareclass._svec
@@ -358,7 +404,7 @@ class TestSpectrumOfM:
     def test_char_poly_moduli(self):
         for p in (3, 5, 11):
             mat = transfer_matrix(p, verify_up_to=0)
-            numeric = np.sort(np.abs(np.linalg.eigvals(np.array(mat.entries, dtype=float))))
+            numeric = np.sort(np.abs(np.linalg.eigvals(circulant(mat.column).astype(float))))
             expected = np.sort(mat.eigenvalue_moduli_with_multiplicity())
             assert np.allclose(numeric, expected, atol=1e-6)
 
