@@ -1,9 +1,8 @@
 """Rarefied sums, the transfer matrix and its spectrum, profiles."""
 
 import math
-from fractions import Fraction
-
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,7 +107,6 @@ class TestRarefiedSums:
                 route(3, 0, -4)
 
     def test_series_rejects_bad_arguments(self):
-        # a residue outside [0, p) once gave silent zeros
         with pytest.raises(ValueError, match=r"residue i must lie in \[0, p\)"):
             rarefied_series(3, 5, 6)
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -326,7 +324,7 @@ class TestTransferMatrix:
         finally:
             tracemalloc.stop()
         assert len(mat.column) == 8191
-        # the p^2 row tuples held 512 MB here
+        # a dense p x p table of Python ints would take hundreds of MB
         assert peak < 16 << 20
 
     def test_violated_recursion_is_arithmetic_error(self, monkeypatch):
