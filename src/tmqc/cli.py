@@ -269,10 +269,10 @@ def _cmd_profile(args) -> tuple:
 def _cmd_rarefy(args) -> str:
     """The table of S_{p,*}(n), n = 0..limit, in the bytes `_emit` would
     write, rendered from the running scan `rareclass.rarefied_rows`.  Row n
-    differs from row n - 1 only at residue (n - 1) mod p, so each cell keeps
-    its text, one cell is formatted per row, and a row is one `join`.  The
-    whole text is built before anything is written, so a failed check of
-    the scan writes nothing."""
+    differs from row n - 1 only in the one cell the scan yields, so each
+    cell keeps its text, one cell is formatted per row, and a row is one
+    `join`.  The whole text is built before anything is written, so a
+    failed check of the scan writes nothing."""
     p = args.p
     if args.format == "csv":
         n_label, labels, sep = "", [""] * p, ","
@@ -282,12 +282,10 @@ def _cmd_rarefy(args) -> str:
         n_label, labels, sep = '"n": ', [f'"s{i}": ' for i in range(p)], ",\n    "
         head, between, tail = "[\n  {\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"
     cells = [label + "0" for label in labels]
-    lines = []
+    lines = [n_label + "0" + sep + sep.join(cells)]
     try:
-        for n, row in enumerate(rareclass.rarefied_rows(p, args.limit)):
-            if n:
-                i = (n - 1) % p
-                cells[i] = labels[i] + str(row[i])
+        for n, (i, value) in enumerate(rareclass.rarefied_rows(p, args.limit), 1):
+            cells[i] = labels[i] + str(value)
             lines.append(n_label + str(n) + sep + sep.join(cells))
     except ValueError as exc:  # p or limit out of range
         raise UsageError(str(exc)) from exc

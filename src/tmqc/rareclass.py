@@ -8,16 +8,19 @@ spectrum of M drives everything: the leading modulus lambda_1 gives the
 growth exponent beta = log(lambda_1)/(s log 2), and continuous log-periodic
 profiles psi_{p,j} interpolate S_{p,j}(n)/n^beta.
 
-Two independent implementations of the sums are kept side by side: plain
-summation (the oracle) and a binary digit recursion derived from
-eta_{2m} = eta_m, eta_{2m+1} = -eta_m:
+The sums have one production route, a table of the doubling products
+(Gelfond 1968, Newman 1969) Q_e(x) = prod_{k<e} (1 - x^(2^k)) =
+sum_{m<2^e} eta_m x^m, reduced mod x^p - 1.  With the set bits
+e_1 > e_2 > ... of n and c_i the sum of the bits above e_i,
 
-    S_{p,i}(2m) = S_{p, i/2 mod p}(m) - S_{p, (i-1)/2 mod p}(m)
+    S_{p,j}(n) = sum_i (-1)^(i-1) Q_{e_i}[(j - c_i) mod p],
 
-with an additive boundary term eta_m at residue 2m mod p when the argument is
-odd.  The recursion is exact integer arithmetic in O(p log n).  Profiles
-run it once over all their samples together (`_svec_batch`); a table of
-consecutive n is one running scan instead (`rarefied_rows`).
+and as 2^s = 1 mod p the refined S_{p,j}(2^(ks) n) reads rows e_i + ks at
+the same offsets.  Its oracles are plain summation and the binary digit
+recursion S_{p,i}(2m) = S_{p, i/2 mod p}(m) - S_{p, (i-1)/2 mod p}(m), plus
+eta_m at residue 2m mod p for an odd argument (from eta_{2m} = eta_m and
+eta_{2m+1} = -eta_m), exact in O(p log n).  A table of consecutive n is one
+running scan instead (`rarefied_rows`).
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tmcore import sign_array, signs_of, tm_sign
+from .tmcore import sign_array, tm_sign
 from .quadfield import PrimeClass, _factorize, classify_prime, is_prime, order_of_two
 
 __all__ = [
@@ -98,49 +101,57 @@ def _svec(p: int, n: int) -> list:
     return s
 
 
-def _svec_batch(p: int, ns: Sequence[int]) -> np.ndarray:
-    """Exact S_{p,*}(n) for every n in `ns`, as an (len(ns), p) int64 array.
-
-    Runs `_svec`'s bit loop once over all samples together, aligned on the
-    top bit of the largest n: a leading zero bit maps S = 0 to 0 and keeps
-    the prefix at 0, so shorter n need no special case.  Entries are
-    bounded by n/p + 1, so the state fits int64 for 0 <= n < 2^63.  Every
-    row is checked against the column-sum identity.
-    """
-    n_arr = np.asarray(ns, dtype=np.int64)
-    if n_arr.size and int(n_arr.min()) < 0:
-        raise ValueError("n must be >= 0")
-    inv2 = pow(2, -1, p)
-    res = np.arange(p)
-    perm_num = res * inv2 % p
-    perm_den = (res - 1) * inv2 % p
-    rows = np.arange(n_arr.size)
-    s = np.zeros((n_arr.size, p), dtype=np.int64)
-    m_mod = np.zeros(n_arr.size, dtype=np.int64)    # prefix m modulo p
-    eta_m = np.ones(n_arr.size, dtype=np.int64)     # eta of the prefix
-    top = int(n_arr.max()).bit_length() if n_arr.size else 0
-    for b in range(top - 1, -1, -1):
-        s = s[:, perm_num] - s[:, perm_den]
-        m_mod = 2 * m_mod % p
-        bit = n_arr >> b & 1
-        s[rows, m_mod] += bit * eta_m
-        m_mod = (m_mod + bit) % p
-        eta_m -= 2 * bit * eta_m
-    _check_column_sums(n_arr, s)
-    return s
+def _doubling_rows(p: int, count: int) -> Iterator[list]:
+    """Rows Q_0, ..., Q_{count-1} of the doubling-product table, the
+    coefficients of Q_e(x) mod x^p - 1, so Q_e[i] = S_{p,i}(2^e).  Row e + 1
+    is row e minus row e rotated by 2^e mod p; each row from e = 1 on is
+    checked, as it is built, to sum to Q_e(1) = 0."""
+    q = [1] + [0] * (p - 1)
+    for e in range(count):
+        if e:
+            sh = pow(2, e - 1, p)
+            q = [a - b for a, b in zip(q, q[-sh:] + q[:-sh])]
+            if sum(q):
+                raise ArithmeticError(f"doubling row {e} at p={p} sums to {sum(q)}, not 0")
+        yield q
 
 
-def _check_column_sums(n_arr: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise ArithmeticError unless each row of `vecs` sums to the prefix
-    sum of the sign sequence at its n: 0 for even n, eta_{n-1} for odd n."""
-    odd = (n_arr & 1).astype(bool)
-    expected = np.zeros(n_arr.size, dtype=np.int64)
-    expected[odd] = signs_of(n_arr[odd] - 1)
-    bad = np.flatnonzero(vecs.sum(axis=1) != expected)
-    if bad.size:
-        raise ArithmeticError(
-            f"rarefied column sum violates the prefix-sum identity at n={int(n_arr[bad[0]])}"
-        )
+def _table_vector(p: int, n: int, rows: Iterable[list] | None = None) -> list:
+    """S_{p,*}(n) from rows Q_0, Q_1, ... (`_doubling_rows(p, n.bit_length())`
+    if not given): the sum over the set bits e_i of n of row e_i rotated by
+    c_i, signed by the parity of the bits above e_i.  Rows are read in
+    increasing e, so a generator of them is read in O(p) memory."""
+    vec = [0] * p
+    for e, q in zip(range(n.bit_length()), rows or _doubling_rows(p, n.bit_length())):
+        if n >> e & 1:
+            head = n >> e + 1
+            c = (head << e + 1) % p
+            op = operator.sub if head.bit_count() & 1 else operator.add
+            vec = list(map(op, vec, q[-c:] + q[:-c]))
+    return vec
+
+
+def _read_residue(p: int, n: int, lo: Sequence[list], hi: Sequence[list]) -> tuple:
+    """(S_{p,j}(n), S_{p,j}(2^(ks) n)) from rows 0, 1, ... (`lo`) and ks,
+    ks + 1, ... (`hi`) of the doubling-product table, pre-rotated to j:
+    row[c] = Q_e[(j - c) mod p].  One walk down the set bits e of n reads
+    both at c = (bits of n above e) mod p, two bits (signs + and -) a pass."""
+    raw = refined = 0
+    rest = n            # the bits of n at and below e
+    while rest:
+        e = rest.bit_length() - 1
+        c = (n - rest) % p
+        rest ^= 1 << e
+        raw += lo[e][c]
+        refined += hi[e][c]
+        if not rest:
+            break
+        e = rest.bit_length() - 1
+        c = (n - rest) % p
+        rest ^= 1 << e
+        raw -= lo[e][c]
+        refined -= hi[e][c]
+    return raw, refined
 
 
 def _check_sum_args(p: int, i: int, n: int) -> None:
@@ -152,9 +163,9 @@ def _check_sum_args(p: int, i: int, n: int) -> None:
 
 
 def rarefied_sum(p: int, i: int, n: int) -> int:
-    """S_{p,i}(n), exact, via the digit recursion (O(p log n))."""
+    """S_{p,i}(n), exact, from the doubling-product table (O(p log n))."""
     _check_sum_args(p, i, n)
-    return _svec(p, n)[i]
+    return _table_vector(p, n)[i]
 
 
 def rarefied_sum_direct(p: int, i: int, n: int) -> int:
@@ -183,36 +194,33 @@ class RarefiedVector:
 
 
 def rarefied_vector(p: int, n: int) -> RarefiedVector:
-    _check_p(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return RarefiedVector(p, n, tuple(_svec(p, n)))
+    _check_sum_args(p, 0, n)
+    return RarefiedVector(p, n, tuple(_table_vector(p, n)))
 
 
 def rarefied_rows(p: int, limit: int) -> Iterator[tuple]:
-    """The vectors S_{p,*}(n) for n = 0..limit in order, as tuples.
+    """The table of S_{p,*}(n), n = 0..limit (S(0) = 0), as the one cell
+    that changes at each n = 1..limit: (i, S_{p,i}(n)), i = (n - 1) mod p.
 
-    One running scan, S(n+1) = S(n) + eta_n e_{n mod p}, over
-    `sign_array(0, limit)`.  Each row is checked against the column-sum
-    identity, and the last one against the digit recursion, before it is
-    yielded.
-    """
+    One running scan, S(n) = S(n - 1) + eta_{n-1} e_i, over
+    `sign_array(0, limit)`.  The running total of eta is checked against the
+    prefix-sum identity at every n, and S(limit) against the digit
+    recursion, before the cell is yielded."""
     _check_p(p)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     eta = sign_array(0, limit).tolist()
     s = [0] * p
-    for n in range(limit + 1):
-        if n:
-            s[(n - 1) % p] += eta[n - 1]
-        row = tuple(s)
-        if sum(row) != (eta[n - 1] if n % 2 else 0):
-            raise ArithmeticError(
-                f"rarefied column sum violates the prefix-sum identity at n={n}"
-            )
-        if n == limit and row != rarefied_vector(p, limit).entries:
+    total = 0
+    for n in range(1, limit + 1):
+        i = (n - 1) % p
+        s[i] += eta[n - 1]
+        total += eta[n - 1]
+        if total != (eta[n - 1] if n % 2 else 0):
+            raise ArithmeticError(f"rarefied column sum violates the prefix-sum identity at n={n}")
+        if n == limit and tuple(s) != RarefiedVector(p, n, tuple(_svec(p, n))).entries:
             raise ArithmeticError(f"rarefied scan disagrees with the digit recursion at n={n}")
-        yield row
+        yield i, s[i]
 
 
 def rarefied_series(p: int, i: int, n_max: int, chunk: int = 1 << 22) -> np.ndarray:
@@ -541,15 +549,15 @@ def profile_period_factor(p: int) -> int:
 
 
 def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:
-    """(k, scale): apply the transfer matrix k times and divide by scale to
-    evaluate the profile on the fiber of n.
+    """(k, scale): the profile on the fiber of n is the refined integer
+    S_{p,j}(2^(ks) n) = (M^k S(n))_j over scale n^beta.
 
-    P1:  one application;     the remainder vanishes at even arguments and
-                              M^2 = p M, so (M S(n))_j / (p n^beta) is exact.
-    P23: four applications;   one application advances the profile argument
+    P1:  k = 1;               the remainder vanishes at even arguments and
+                              M^2 = p M, so S_j(2^s n) / (p n^beta) is exact.
+    P23: k = 4;               one doubling by M advances the profile argument
                               by a quarter period (r = 4), four return to the
                               fiber with scale lambda_1^4 = p^2; exact.
-    P21: k applications with  (lambda_2/lambda_1)^k < 1e-12; geometric
+    P21: k with               (lambda_2/lambda_1)^k < 1e-12; geometric
                               damping of the bounded remainder.
     Other: no refinement (equal-modulus dominant cosets need not contract).
     """
@@ -565,29 +573,13 @@ def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:
     return 0, 1.0
 
 
-def _refined_row(mat: TransferMatrix, j: int, k: int) -> list:
-    """Row j of M^k as exact integers.  M is circulant, so M^k is too: with
-    c = M^k e_0, (M^k)[j][i] = c[(j - i) mod p]."""
-    c = [1] + [0] * (mat.p - 1)
-    for _ in range(k):
-        c = mat.apply(c)
-    return [c[(j - i) % mat.p] for i in range(mat.p)]
-
-
-def _refined_dot(row: Sequence[int], sv: Sequence[int]) -> int:
-    """The refined value sum_i row[i] S_i, exact in Python ints (the
-    values of M^k grow like lambda_1^k and overflow int64), with the loop
-    in C."""
-    return sum(map(operator.mul, row, sv))
-
-
 @dataclass(frozen=True)
 class FractalProfile:
     """Samples of the log-periodic profile for one residue j.
 
     `raw` holds S_{p,j}(n)/n^beta at x = frac(log n / (r s log 2)).
     `values` holds the same samples with the bounded remainder iterated away
-    through the transfer matrix (exact for the classes whose remainder
+    by k doublings, S_{p,j}(2^(ks) n) (exact for the classes whose remainder
     vanishes at even arguments; geometrically damped otherwise), so `bounds`
     estimates inf/sup of the profile itself rather than of the transient.
     """
@@ -619,11 +611,11 @@ def profile_value(p: int, j: int, n: int, mat: TransferMatrix | None = None) -> 
     if n < 1:
         raise ValueError("n must be >= 1")
     k_apps, scale = _profile_refinement(p, mat.exponents)
-    row = _refined_row(mat, j, k_apps)
-    return _refined_dot(row, _svec(p, n)) / (scale * float(n) ** mat.exponents.beta)
+    return _table_vector(p, n << k_apps * mat.s)[j] / (scale * float(n) ** mat.exponents.beta)
 
 
-# the largest horizon: the batched recursion needs every sample n < 2^63
+# the largest horizon: `FractalProfile.n_samples` is an int64 array, so every
+# sample n <= 2^horizon must lie below 2^63
 MAX_PROFILE_HORIZON = 62
 
 
@@ -636,10 +628,11 @@ def fractal_profile(
     """Sample S_{p,j}(n)/n^beta on a log-equidistributed grid.
 
     n runs over floor(2^{(m + x0) r s}) for a lattice of x0 in [0,1), capped
-    at 2^horizon_exponent <= 2^62.  Applying M advances log n by s log 2
-    exactly, so the refined evaluation stays on the fiber of x.  All samples
-    share one batched digit recursion (`_svec_batch`) and one exact row of
-    M^k (`_refined_row`).
+    at 2^horizon_exponent <= 2^62.  A doubling by M advances log n by s log 2
+    exactly, so the refined value S_{p,j}(2^(ks) n) stays on the fiber of x.
+    Each sample is one `_read_residue` walk over rows e < H (H the bit
+    length of the largest sample) and rows ks + e of the doubling-product
+    table, whose largest-sample vector is checked against the recursion.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -648,37 +641,42 @@ def fractal_profile(
     if not 1 <= horizon_exponent <= MAX_PROFILE_HORIZON:
         raise ValueError(
             f"horizon_exponent must lie in [1, {MAX_PROFILE_HORIZON}]: "
-            f"samples n up to 2^{MAX_PROFILE_HORIZON} keep the exact sums in int64"
+            f"samples n up to 2^{MAX_PROFILE_HORIZON} fit the int64 sample array"
         )
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    mat = transfer_matrix(p, verify_up_to=0)
-    exps = mat.exponents
+    exps = scaling_exponents(p)     # refuses p above MAX_SPECTRUM_P first
     r = profile_period_factor(p)
-    s = mat.s
+    s = order_of_two(p)
     beta = exps.beta
     period_bits = r * s
     k_apps, scale = _profile_refinement(p, exps)
-    row = _refined_row(mat, j, k_apps)
 
-    n_cap = 1 << horizon_exponent
     ns = []
-    seen = set()
     for idx in range(resolution):
         x0 = idx / resolution
         m = 0
         while (m + x0) * period_bits <= horizon_exponent:
-            n = int(2.0 ** ((m + x0) * period_bits))
+            ns.append(int(2.0 ** ((m + x0) * period_bits)))
             m += 1
-            if n < 1 or n > n_cap or n in seen:
-                continue
-            seen.add(n)
-            ns.append(n)
+    ns = [n for n in dict.fromkeys(ns) if 1 <= n <= 1 << horizon_exponent]  # first of each n
+    n_top = max(ns)
+    ks, top = k_apps * s, n_top.bit_length()
+    low, high = [], []
+    for e, q in enumerate(_doubling_rows(p, ks + top)):
+        if e < top:
+            low.append(q)
+        if e >= ks:
+            high.append(q)
+    if _table_vector(p, n_top, low) != _svec(p, n_top):
+        raise ArithmeticError(f"doubling table disagrees with the digit recursion at n={n_top}")
+    lo, hi = ([q[j::-1] + q[:j:-1] for q in rows] for rows in (low, high))  # pre-rotated to j
     xs, vals, raws = [], [], []
-    for n, sv in zip(ns, _svec_batch(p, ns).tolist()):
+    for n in ns:
+        raw, refined = _read_residue(p, n, lo, hi)
         nb = float(n) ** beta
-        raws.append(sv[j] / nb)
-        vals.append(_refined_dot(row, sv) / (scale * nb))
+        raws.append(raw / nb)
+        vals.append(refined / (scale * nb))
         xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
     order = np.argsort(np.array(xs))
     x_arr = np.array(xs)[order]

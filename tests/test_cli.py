@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -383,6 +384,13 @@ class TestProfileCommand:
         for r in rows:
             assert r["psi"] == pytest.approx(profile_value(3, 0, r["n"]), abs=1e-12)
 
+    def test_prime_above_the_cap_is_usage_error(self, capsys):
+        # refused by the coset spectrum before any O(p s) work on M's column
+        code, out, err = run_cli(
+            ["profile", "--p", "8388617", "--horizon", "8", "--resolution", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert "coset-spectrum limit" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--horizon", "0"], "horizon"),
         (["--resolution", "0"], "resolution"),
@@ -399,7 +407,11 @@ class TestProfileCommand:
 def _reference_rarefy(p, limit, fmt):
     """The rarefy table as the generic writers render the scan's rows."""
     columns = ["n"] + [f"s{i}" for i in range(p)]
-    rows = [(n, *row) for n, row in enumerate(rareclass.rarefied_rows(p, limit))]
+    row = [0] * p
+    rows = [(0, *row)]
+    for n, (i, value) in enumerate(rareclass.rarefied_rows(p, limit), 1):
+        row[i] = value
+        rows.append((n, *row))
     if fmt == "json":
         return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     buf = io.StringIO()
@@ -471,6 +483,39 @@ class TestRarefy:
         code, out, err = run_cli(["rarefy", "--p", "3", "--limit", "-1"], capsys)
         assert (code, out) == (1, "")
         assert "limit" in err
+
+
+class TestGoldenBytes:
+    """sha256 of whole `profile` and `rarefy` outputs, pinned so that a
+    change of route keeps every byte."""
+
+    PROFILE = ["--horizon", "48", "--resolution", "512"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["profile", "--p", "3", *PROFILE],
+         "1c9e48dbcc253374dbb193cd92427163952c46778dec61811d58dd16bdd05ffb"),
+        (["profile", "--p", "7", *PROFILE],
+         "6575ed0fe8036a946e7ba70b0f488ede8b0ba9b55c5babd03e35708b3ec52e51"),
+        (["profile", "--p", "17", "--j", "0", *PROFILE],
+         "8c8a55aeb3cf53341ea7e524bb9b19e560119b837cdb3b6a8ec549ae085c8ada"),
+        (["profile", "--p", "17", "--j", "5", *PROFILE],
+         "63a8ba8805d366c44d260e0d46b766f6c22b253c535fa548ea6bb8628e658403"),
+        (["profile", "--p", "17", "--j", "11", *PROFILE],
+         "d980ceceeb2f24ce5a488d30454f4e48430b1d51ba9fa362bfe68e12a808bf85"),
+        (["profile", "--p", "43", *PROFILE],
+         "592893ad111892dbffd444a8ef5323730cc930bc09d5d9269a7b884f2bd67088"),
+        (["profile", "--p", "137", *PROFILE],
+         "5e1d8af2a5245274ea5d97ad2dce3846015e4ab354cfe1480a11eb9ef4889550"),
+        (["rarefy", "--p", "137", "--limit", "2000", "--format", "csv"],
+         "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
+        (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
+         "94c7d49393b954192547ecad4e9d45930818819356f511bef07cd8017855088d"),
+    ])
+    def test_output_digest(self, argv, digest):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
 
 
 class TestMarcinkiewiczCommand:

@@ -1,12 +1,14 @@
 """Rarefied sums, the transfer matrix and its spectrum, profiles."""
 
+import builtins
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
@@ -126,54 +128,98 @@ def _svec_by_inverse_dft(p, n):
     ]
 
 
-class TestBatchedRecursion:
+def _order_of_two(p):
+    """The multiplicative order of 2 mod any odd p."""
+    s, x = 1, 2 % p
+    while x != 1:
+        s, x = s + 1, 2 * x % p
+    return s
+
+
+def _rotated(rows, p, j):
+    """Doubling-table rows rotated to residue j: row[c] = Q_e[(j - c) mod p]."""
+    return [[q[(j - c) % p] for c in range(p)] for q in rows]
+
+
+def _read_at(p, j, n, ks=0):
+    """(S_{p,j}(n), S_{p,j}(2^ks n)) through the profile's reader: rows of
+    the doubling table rotated to j and one offset walk."""
+    top = n.bit_length()
+    rows = list(rareclass._doubling_rows(p, ks + top))
+    return rareclass._read_residue(p, n, _rotated(rows[:top], p, j), _rotated(rows[ks:], p, j))
+
+
+class TestDoublingTable:
     @settings(deadline=None, derandomize=True, max_examples=60)
-    @given(p=st.integers(1, 50).map(lambda k: 2 * k + 1),
-           ns=st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=6))
-    def test_batch_matches_scalar_recursion(self, p, ns):
-        batch = rareclass._svec_batch(p, ns)
-        assert batch.shape == (len(ns), p)
-        assert batch.tolist() == [rareclass._svec(p, n) for n in ns]
+    @given(p=st.integers(1, 100).map(lambda k: 2 * k + 1), n=st.integers(0, (1 << 62) - 1))
+    @example(p=201, n=(1 << 62) - 1)
+    @example(p=105, n=(1 << 61) + 12345)
+    def test_table_matches_digit_recursion(self, p, n):
+        expected = rareclass._svec(p, n)
+        assert rareclass._table_vector(p, n) == expected
+        rows = list(rareclass._doubling_rows(p, n.bit_length()))
+        for j in range(p):
+            lo = _rotated(rows, p, j)
+            assert rareclass._read_residue(p, n, lo, lo) == (expected[j], expected[j])
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(data=st.data(), p=st.integers(1, 100).map(lambda k: 2 * k + 1),
+           k=st.integers(0, 3), n=st.integers(0, (1 << 62) - 1))
+    def test_refined_read_matches_digit_recursion(self, data, p, k, n):
+        # 2^s = 1 mod p, so S(2^(ks) n) reads rows e + ks at n's own offsets
+        ks = k * _order_of_two(p)
+        expected = rareclass._svec(p, n << ks)
+        assert rareclass._table_vector(p, n << ks) == expected
+        j = data.draw(st.integers(0, p - 1))
+        assert _read_at(p, j, n, ks) == (rareclass._svec(p, n)[j], expected[j])
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(p=st.integers(1, 25).map(lambda k: 2 * k + 1),
            ns=st.lists(st.integers(1, (1 << 40) - 1), min_size=1, max_size=3))
-    def test_batch_matches_inverse_dft(self, p, ns):
-        for n, row in zip(ns, rareclass._svec_batch(p, ns).tolist()):
+    def test_table_matches_inverse_dft(self, p, ns):
+        for n in ns:
+            row = rareclass._table_vector(p, n)
             approx = _svec_by_inverse_dft(p, n)
             assert max(abs(a - v) for a, v in zip(approx, row)) < 0.25
             assert [round(a.real) for a in approx] == row
 
     def test_short_samples_and_zero(self):
-        ns = [0, 1, 2, 3, 1 << 40, 5]
-        assert rareclass._svec_batch(7, ns).tolist() == [rareclass._svec(7, n) for n in ns]
+        for n in (0, 1, 2, 3, 1 << 40, 5):
+            expected = rareclass._svec(7, n)
+            assert rareclass._table_vector(7, n) == expected
+            assert [_read_at(7, j, n)[0] for j in range(7)] == expected
 
-    def test_corrupted_entry_fails_column_sum(self, monkeypatch):
-        real = rareclass._check_column_sums
+    def test_reads_n_from_2_63(self):
+        for n in (1 << 63, (1 << 100) + 12345):
+            assert rareclass._table_vector(3, n) == rareclass._svec(3, n)
+            assert rarefied_sum(9, 4, n) == rareclass._svec(9, n)[4]
 
-        def corrupted(n_arr, vecs):
-            vecs[1, 0] += 1
-            real(n_arr, vecs)
+    def test_corrupted_row_fails_row_sum(self, monkeypatch):
+        # a rotate-and-subtract whose first entry is off by one
+        def corrupted(a, b):
+            pairs = list(builtins.zip(a, b))
+            return [(pairs[0][0] + 1, pairs[0][1])] + pairs[1:]
 
-        monkeypatch.setattr(rareclass, "_check_column_sums", corrupted)
-        with pytest.raises(ArithmeticError, match="prefix-sum identity at n=10"):
-            rareclass._svec_batch(5, [3, 10, 17])
-
-    def test_rejects_n_from_2_63(self):
-        with pytest.raises(OverflowError):
-            rareclass._svec_batch(3, [1 << 63])
+        rows = rareclass._doubling_rows(5, 4)
+        assert next(rows) == [1, 0, 0, 0, 0]
+        monkeypatch.setattr(rareclass, "zip", corrupted, raising=False)
+        with pytest.raises(ArithmeticError, match="doubling row 1 at p=5 sums to 1"):
+            next(rows)
 
 
 class TestRarefiedRows:
     @pytest.mark.parametrize("p, limit", [(3, 200), (9, 150), (137, 400)])
     def test_rows_match_direct_sums(self, p, limit):
-        rows = list(rarefied_rows(p, limit))
-        assert len(rows) == limit + 1
-        for n in range(limit + 1):
-            assert rows[n] == tuple(rarefied_sum_direct(p, i, n) for i in range(p))
+        cells = list(rarefied_rows(p, limit))
+        assert len(cells) == limit
+        row = [0] * p
+        for n, (i, value) in enumerate(cells, 1):
+            assert i == (n - 1) % p
+            row[i] = value
+            assert row == [rarefied_sum_direct(p, r, n) for r in range(p)]
 
     def test_zero_limit(self):
-        assert list(rarefied_rows(5, 0)) == [(0,) * 5]
+        assert list(rarefied_rows(5, 0)) == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -183,8 +229,8 @@ class TestRarefiedRows:
 
 
 def _profile_by_apply(p, j, horizon_exponent, resolution):
-    """The per-sample loop that profiles used before the batch: the scalar
-    recursion and k applications of M on every sample."""
+    """The profile by its oracles: on every sample, the digit recursion and
+    k applications of M."""
     mat = transfer_matrix(p, verify_up_to=0)
     beta = mat.exponents.beta
     period_bits = profile_period_factor(p) * mat.s
@@ -240,19 +286,6 @@ class TestProfileBitIdentity:
                 expected = refined[j] / (scale * float(n) ** mat.exponents.beta)
                 assert rareclass.profile_value(p, j, n, mat) == expected
 
-    @pytest.mark.parametrize("p", [3, 7, 17, 137])  # P1, P23, P21, P21
-    def test_refined_dot_equals_the_generator(self, p):
-        mat = transfer_matrix(p, verify_up_to=0)
-        k_apps, _ = rareclass._profile_refinement(p, mat.exponents)
-        ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1]
-        svs = rareclass._svec_batch(p, ns).tolist() + [rareclass._svec(p, (1 << 70) + 12345)]
-        for j in sorted({*range(0, p, max(1, p // 9)), p - 1}):
-            row = rareclass._refined_row(mat, j, k_apps)
-            for sv in svs:
-                got = rareclass._refined_dot(row, sv)
-                assert type(got) is int
-                assert got == sum(c * v for c, v in zip(row, sv))
-
     @pytest.mark.parametrize("p, horizon", [(3, 24), (7, 30), (17, 48), (137, 40)])
     def test_profile_value_matches_fractal_profile(self, p, horizon):
         mat = transfer_matrix(p, verify_up_to=0)
@@ -262,13 +295,33 @@ class TestProfileBitIdentity:
             assert np.array_equal(np.array(got), prof.values)
 
     def test_samples_never_apply_the_matrix(self, monkeypatch):
+        # the refined values are read off the doubling table: no apply call
         calls = []
         real = rareclass.TransferMatrix.apply
         monkeypatch.setattr(rareclass.TransferMatrix, "apply",
                             lambda self, vec: calls.append(1) or real(self, vec))
         prof = fractal_profile(17, 0, 40, resolution=64)
-        k_apps, _ = rareclass._profile_refinement(17, scaling_exponents(17))
-        assert len(calls) == k_apps < len(prof.n_samples)
+        assert rareclass._profile_refinement(17, scaling_exponents(17))[0] > 0
+        assert len(prof.n_samples) > 0 and calls == []
+
+    def test_other_class_profile_time_and_memory(self):
+        # p = 8191 (Other class, no refinement): 448 samples of 49 bits over
+        # a table of 49 rows of 8191 entries
+        start = time.perf_counter()
+        rareclass._svec(8191, (1 << 48) - 1)
+        svec_s = time.perf_counter() - start
+        start = time.perf_counter()
+        prof = fractal_profile(8191, 0, 48, resolution=512)
+        elapsed = time.perf_counter() - start
+        assert len(prof.n_samples) == 448
+        assert elapsed < max(0.3, 10 * svec_s)
+        tracemalloc.start()
+        try:
+            fractal_profile(8191, 0, 48, resolution=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_horizon_above_62_is_refused(self):
         with pytest.raises(ValueError, match=r"2\^62"):
