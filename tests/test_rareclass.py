@@ -286,6 +286,28 @@ class TestProfileBitIdentity:
                 expected = refined[j] / (scale * float(n) ** mat.exponents.beta)
                 assert rareclass.profile_value(p, j, n, mat) == expected
 
+    @pytest.mark.parametrize("p", [3, 7, 17, 137])  # P1, P23, P21, P21
+    def test_refined_dot_equals_the_generator(self, p):
+        # the refined read of the doubling table is the generator M^k applied
+        # to S(n), for n up to and past 2^62
+        mat = transfer_matrix(p, verify_up_to=0)
+        k_apps, _ = rareclass._profile_refinement(p, mat.exponents)
+        ks = k_apps * mat.s
+        ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 70) + 12345]
+        rows = list(rareclass._doubling_rows(p, ks + max(ns).bit_length()))
+        generated = {}
+        for n in ns:
+            refined = rareclass._svec(p, n)
+            for _ in range(k_apps):
+                refined = mat.apply(refined)
+            generated[n] = refined
+        for j in sorted({*range(0, p, max(1, p // 9)), p - 1}):
+            rot = _rotated(rows, p, j)
+            for n in ns:
+                raw, refined = rareclass._read_residue(p, n, rot, rot[ks:])
+                assert type(refined) is int
+                assert (raw, refined) == (rareclass._svec(p, n)[j], generated[n][j])
+
     @pytest.mark.parametrize("p, horizon", [(3, 24), (7, 30), (17, 48), (137, 40)])
     def test_profile_value_matches_fractal_profile(self, p, horizon):
         mat = transfer_matrix(p, verify_up_to=0)
