@@ -15,10 +15,8 @@ from .diffract import (
     fourier_sum,
     approximant_density,
     riesz_product,
-    coefficient_cm,
     kappa_pair,
     kappa_eta_closed,
-    is_bragg,
     scaling_exponent_alpha,
     fitted_alpha,
     ExtinctionError,
@@ -50,8 +48,6 @@ from .spectrum import (
     GrowthRegime,
     normalize_wavevector,
     classify,
-    classify_real,
-    alpha_exact,
     halving_reduction,
     rarefaction_domain,
     extinction_possible,

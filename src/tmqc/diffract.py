@@ -58,12 +58,10 @@ __all__ = [
     "eta_sum",
     "eta_sums_at_sizes",
     "riesz_product",
-    "coefficient_cm",
     "kappa_pair",
     "kappa_eta_closed",
     "kappa_eta_at_q",
     "kappa_closed",
-    "is_bragg",
     "scaling_exponent_alpha",
     "scaling_exponents_at_sizes",
     "fitted_alpha",
@@ -530,21 +528,6 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
 # Fourier coefficients of the tile-modulation phase
 # ---------------------------------------------------------------------------
 
-def _sinc(x: float) -> float:
-    """sin(x)/x with the removable singularity filled in."""
-    if abs(x) < 1e-8:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
-
-
-def coefficient_cm(m: int, k: float, params: QuasicrystalParams) -> complex:
-    """c_m(k) = (-1)^m exp(-i k a2/2) sinc(a2 k/2 + m pi), the m-th Fourier
-    coefficient of x -> exp(-i k a2 frac(x)) with a2 = 2(a-b)."""
-    a2 = float(params.alpha2)
-    sign = -1.0 if m % 2 else 1.0
-    return sign * cmath.exp(-0.5j * k * a2) * _sinc(0.5 * a2 * k + m * math.pi)
-
-
 def kappa_closed(k: float, params: QuasicrystalParams) -> complex:
     """Even-index coefficient sum: the Fourier series evaluated at x = 0 and
     x = 1/2 (midpoint regularization at the jump), averaged.  With
@@ -596,6 +579,9 @@ class FourierCoefficients:
 
 
 def _partial_kappa_sums(k: float, params: QuasicrystalParams, m_max: int) -> tuple:
+    """The even- and odd-index sums over |m| <= m_max of the Fourier
+    coefficients c_m(k) = (-1)^m exp(-i k a2/2) sinc(a2 k/2 + m pi) of
+    x -> exp(-i k a2 frac(x)), a2 = 2(a-b)."""
     a2 = float(params.alpha2)
     m = np.arange(-m_max, m_max + 1)
     x = 0.5 * a2 * k + m * math.pi
@@ -633,15 +619,8 @@ def kappa_pair(
 
 
 # ---------------------------------------------------------------------------
-# Bragg membership and exponent fitting
+# exponent fitting
 # ---------------------------------------------------------------------------
-
-def is_bragg(q: Fraction) -> bool:
-    """True iff the reduced denominator of q is a power of two, i.e. the
-    normalized wave vector sits in the periodized dyadic group."""
-    d = Fraction(q).denominator
-    return d & (d - 1) == 0
-
 
 @dataclass(frozen=True)
 class AlphaFit:

@@ -16,6 +16,7 @@ finite character sum for L(1, chi_p) with a near-integer sanity gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,6 @@ __all__ = [
     "fundamental_unit",
     "dirichlet_l_one",
     "class_number",
-    "beta_for_class",
     "residue_beta",
     "prime_record",
     "scan_size_increasing",
@@ -170,13 +170,15 @@ def _norm_form(p: int, u: int, v: int) -> int:
     return u * u + u * v - v * v * (p - 1) // 4
 
 
+@functools.lru_cache(maxsize=16)
 def fundamental_unit(p: int) -> FundamentalUnit:
     """Smallest unit > 1 of the ring of integers of Q(sqrt p), p = 1 (mod 4).
 
     Runs the continued fraction of omega = (1+sqrt p)/2 on the exact surd
     state (P + sqrt(D))/Q; convergents h/k give candidates (h-k) + k*omega,
     and the first norm +-1 hit is the fundamental unit.  All arithmetic is
-    on arbitrary-precision integers.
+    on arbitrary-precision integers.  Cached, so `class_number` and
+    `prime_record` share one unit per p.
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError("fundamental_unit expects a prime p = 1 (mod 4)")
@@ -264,11 +266,12 @@ def dirichlet_l_one(p: int) -> float:
     return -2.0 * math.fsum(parts) / math.sqrt(p)
 
 
-def _class_invariants(p: int, tol: float = 1e-6) -> tuple:
-    """(eps, h) for a prime p = 1 (mod 4), from one unit and one L-value.
-    h = sqrt(p) L / (2 log eps) must lie within tol of an integer before
-    rounding (ClassNumberDriftError otherwise), and L must obey Hua's bound
-    L(1, chi_p) < log(p)/2 + 1 (ArithmeticError otherwise)."""
+def class_number(p: int, tol: float = 1e-6) -> int:
+    """h = sqrt(p) L(1, chi_p) / (2 log eps) for a prime p = 1 (mod 4),
+    rounded, from one unit and one L-value.  The pre-rounding value must
+    lie within tol of an integer (ClassNumberDriftError otherwise), and L
+    must obey Hua's bound L(1, chi_p) < log(p)/2 + 1 (ArithmeticError
+    otherwise)."""
     eps = fundamental_unit(p)
     l_value = dirichlet_l_one(p)
     raw = math.sqrt(p) * l_value / (2.0 * eps.log_value())
@@ -279,13 +282,7 @@ def _class_invariants(p: int, tol: float = 1e-6) -> tuple:
         )
     if not l_value < math.log(p) / 2.0 + 1.0:
         raise ArithmeticError(f"Hua bound violated at p={p}: L={l_value}")
-    return eps, h
-
-
-def class_number(p: int, tol: float = 1e-6) -> int:
-    """h = sqrt(p) L(1, chi_p) / (2 log eps), rounded; the pre-rounding value
-    must already be within tol of an integer or the computation is rejected."""
-    return _class_invariants(p, tol)[1]
+    return h
 
 
 @dataclass(frozen=True)
@@ -301,27 +298,6 @@ class PrimeClassRecord:
     h: int | None = None
     epsilon: FundamentalUnit | None = None
     regulator: float | None = None
-
-
-def _closed_beta(p: int, cls: PrimeClass, h: int | None = None,
-                 eps: FundamentalUnit | None = None) -> float:
-    if cls in (PrimeClass.P1, PrimeClass.P23):
-        return math.log(p) / ((p - 1) * _LOG2)
-    if cls is PrimeClass.P21:
-        if h is None or eps is None:
-            raise ValueError("P21 record must carry h and the fundamental unit")
-        return (math.log(p) + 2.0 * h * eps.log_value()) / ((p - 1) * _LOG2)
-    raise ValueError(
-        f"no closed exponent formula for class {cls.value}; "
-        "use the transfer-matrix spectrum instead"
-    )
-
-
-def beta_for_class(rec: PrimeClassRecord) -> float:
-    """The growth exponent by the closed per-class formula; for P21 it is
-    (log p + 2 h log eps) / ((p-1) log 2) from the record's h and unit
-    (`prime_record` has checked Hua's bound on the L-value behind h)."""
-    return _closed_beta(rec.p, rec.cls, rec.h, rec.epsilon)
 
 
 def residue_beta(rec: PrimeClassRecord, t: int) -> float:
@@ -348,19 +324,24 @@ def residue_beta(rec: PrimeClassRecord, t: int) -> float:
 
 
 def prime_record(p: int) -> PrimeClassRecord:
-    """Full record: class, exponent and (for P21) field invariants."""
+    """Full record: class, exponent and (for P21) field invariants, with h
+    from `class_number`.  beta is log p / ((p-1) log 2) for P1 and P23 and
+    (log p + 2 h log eps) / ((p-1) log 2) for P21; Other primes get None."""
     s = order_of_two(p)
     cls = _class_of(p, s)
     if cls is PrimeClass.P1:
-        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls), float(p), 0.0)
+        return PrimeClassRecord(p, s, cls, math.log(p) / ((p - 1) * _LOG2), float(p), 0.0)
     if cls is PrimeClass.P23:
-        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls), math.sqrt(p), math.sqrt(p))
+        return PrimeClassRecord(p, s, cls, math.log(p) / ((p - 1) * _LOG2),
+                                math.sqrt(p), math.sqrt(p))
     if cls is PrimeClass.P21:
-        eps, h = _class_invariants(p)
+        h = class_number(p)
+        eps = fundamental_unit(p)
         reg = eps.log_value()
         lam1 = math.exp(h * reg) * math.sqrt(p)
         lam2 = math.exp(-h * reg) * math.sqrt(p)
-        return PrimeClassRecord(p, s, cls, _closed_beta(p, cls, h, eps), lam1, lam2, h, eps, reg)
+        beta = (math.log(p) + 2.0 * h * reg) / ((p - 1) * _LOG2)
+        return PrimeClassRecord(p, s, cls, beta, lam1, lam2, h, eps, reg)
     return PrimeClassRecord(p, s, cls, None, None, None)
 
 
@@ -372,39 +353,23 @@ class SizeIncreasingScan:
     p1: tuple
     p21: tuple
     p23: tuple
-    other: tuple     # empirical, via the transfer-matrix spectrum
+    other: tuple     # via the coset spectrum
 
 
-def scan_size_increasing(limit: int, include_other: bool = True) -> SizeIncreasingScan:
-    """Scan odd primes p < limit for beta > 1/2.
-
-    P1/P23 use the closed formula; P21 uses beta = (log p + sqrt(p) L) /
-    ((p-1) log 2), which avoids the unit entirely through the class-number
-    identity.  The Other classes (no closed formula) are scanned through the
-    coset spectrum (`rareclass.scaling_exponents`) when requested.
+def scan_size_increasing(limit: int) -> SizeIncreasingScan:
+    """Scan odd primes p < limit of every class for beta > 1/2: beta from
+    `prime_record` for P1, P21 and P23, and from the coset spectrum
+    (`rareclass.scaling_exponents`) for the Other primes, which have no
+    closed formula.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    hits_p1, hits_p21, hits_p23, hits_other = [], [], [], []
-    for p in primes_up_to(limit - 1):
-        if p == 2:
-            continue
-        cls = classify_prime(p)
-        if cls is PrimeClass.P1:
-            if math.log(p) / ((p - 1) * _LOG2) > 0.5:
-                hits_p1.append(p)
-        elif cls is PrimeClass.P23:
-            if math.log(p) / ((p - 1) * _LOG2) > 0.5:
-                hits_p23.append(p)
-        elif cls is PrimeClass.P21:
-            beta = (math.log(p) + math.sqrt(p) * dirichlet_l_one(p)) / ((p - 1) * _LOG2)
-            if beta > 0.5:
-                hits_p21.append(p)
-        elif include_other:
-            from . import rareclass  # runtime import; rareclass depends on this module
+    from . import rareclass  # runtime import; rareclass depends on this module
 
-            if rareclass.scaling_exponents(p).beta > 0.5:
-                hits_other.append(p)
-    return SizeIncreasingScan(
-        limit, tuple(hits_p1), tuple(hits_p21), tuple(hits_p23), tuple(hits_other)
-    )
+    hits = {cls: [] for cls in PrimeClass}
+    for p in primes_up_to(limit - 1)[1:]:
+        rec = prime_record(p)
+        beta = rec.beta if rec.beta is not None else rareclass.scaling_exponents(p).beta
+        if beta > 0.5:
+            hits[rec.cls].append(p)
+    return SizeIncreasingScan(limit, *(tuple(hits[cls]) for cls in PrimeClass))

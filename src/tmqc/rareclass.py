@@ -25,7 +25,6 @@ running scan instead (`rarefied_rows`).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -52,8 +51,6 @@ __all__ = [
     "rarefied_rows",
     "rarefied_series",
     "transfer_matrix",
-    "cosets_of_two",
-    "coset_eigenvalue",
     "residue_exponent",
     "max_orbit_exponent",
     "eigenvalues_explicit",
@@ -362,32 +359,6 @@ def _on_axis(v: float, s: int) -> complex:
     return (complex(v, 0.0), complex(0.0, -v), complex(-v, 0.0), complex(0.0, v))[s % 4]
 
 
-def cosets_of_two(p: int) -> list:
-    """Cosets of the subgroup <2> inside (Z/pZ)*, each sorted, listed by
-    smallest representative."""
-    rows = np.sort(_coset_spectrum(p).cosets, axis=1)
-    return [tuple(row) for row in rows[np.argsort(rows[:, 0])].tolist()]
-
-
-def coset_eigenvalue(p: int, t: int) -> complex:
-    """Circulant eigenvalue at character t: prod over w in t<2> of (1 - zeta^w),
-    zeta = exp(-2 pi i / p).  Its modulus equals |xi| of the matching coset.
-
-    The direct complex product, one power per orbit step: kept as the
-    independent oracle of the coset spectrum, which nothing else calls.
-    """
-    if t % p == 0:
-        raise ValueError("t must be nonzero mod p")
-    s = order_of_two(p)
-    zeta = cmath.exp(-2j * math.pi / p)
-    w = t % p
-    mu = 1.0 + 0j
-    for _ in range(s):
-        mu *= 1.0 - zeta**w
-        w = (2 * w) % p
-    return mu
-
-
 def residue_exponent(p: int, t: int) -> float:
     """Growth exponent of the sign-sequence exponential sum at frequency t/p:
     log2|mu_t| / s.  It is constant on cosets of <2>, so for primes with two
@@ -505,7 +476,11 @@ class TransferMatrix:
         return sorted(mods, reverse=True)
 
 
-def scaling_exponents(p: int, boundary_tol: float = 1e-9) -> ScalingExponents:
+# |lambda_2 - 1| within this is the boundary band of the lambda_2 rule
+_LAMBDA2_BOUNDARY_TOL = 1e-9
+
+
+def scaling_exponents(p: int) -> ScalingExponents:
     """(beta, beta1) for an odd prime p, from the two largest coset moduli
     of the coset spectrum."""
     sp = _coset_spectrum(p)
@@ -513,22 +488,24 @@ def scaling_exponents(p: int, boundary_tol: float = 1e-9) -> ScalingExponents:
     l2 = float(sp.log2_moduli[1]) if len(sp.log2_moduli) > 1 else -math.inf
     lam1, lam2 = _exp2(l1), _exp2(l2)
     beta = l1 / sp.s
-    if abs(lam2 - 1.0) <= boundary_tol:
+    if abs(lam2 - 1.0) <= _LAMBDA2_BOUNDARY_TOL:
         return ScalingExponents(beta, None, lam1, lam2, lambda2_boundary=True)
     beta1 = l2 / sp.s if lam2 > 1.0 else 0.0
     return ScalingExponents(beta, beta1, lam1, lam2)
 
 
-def transfer_matrix(p: int, verify_up_to: int = 50) -> TransferMatrix:
-    """Build M from its column S_{p,*}(2^s) (`order_of_two` refuses all but odd
-    primes) and verify S(2^s n) = M S(n) exactly on n = 1..verify_up_to."""
+def transfer_matrix(p: int) -> TransferMatrix:
+    """Build M from its column S_{p,*}(2^s) by the digit recursion
+    (`order_of_two` refuses all but odd primes), checked against row s of
+    the doubling-product table, Q_s[i] = S_{p,i}(2^s).  One O(p s) check
+    suffices: with the column right, S(2^s n) = M S(n) holds for every n,
+    since sum_{m < 2^s n} eta_m x^m = Q_s(x) sum_{a < n} eta_a x^(2^s a)
+    and x^(2^s) = x mod x^p - 1."""
     s = order_of_two(p)
     col = tuple(_svec(p, 1 << s))
-    mat = TransferMatrix(p, s, col, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
-    for n in range(1, verify_up_to + 1):
-        if mat.apply(_svec(p, n)) != _svec(p, n << s):
-            raise ArithmeticError(f"transfer recursion failed at p={p}, n={n}")
-    return mat
+    if list(col) != _table_vector(p, 1 << s):
+        raise ArithmeticError(f"transfer column disagrees with the doubling table at p={p}")
+    return TransferMatrix(p, s, col, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +577,17 @@ class FractalProfile:
         return bool(self.values.min() <= tol and self.values.max() >= -tol)
 
 
-def profile_value(p: int, j: int, n: int, mat: TransferMatrix | None = None) -> float:
+def profile_value(p: int, j: int, n: int) -> float:
     """The profile evaluated on the fiber of n (refined, see
     `_profile_refinement`); exact up to rounding for the classes whose
     remainder vanishes at even arguments."""
-    if mat is None:
-        mat = transfer_matrix(p, verify_up_to=0)
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    k_apps, scale = _profile_refinement(p, mat.exponents)
-    return _table_vector(p, n << k_apps * mat.s)[j] / (scale * float(n) ** mat.exponents.beta)
+    exps = scaling_exponents(p)     # refuses p above MAX_SPECTRUM_P first
+    k_apps, scale = _profile_refinement(p, exps)
+    return _table_vector(p, n << k_apps * order_of_two(p))[j] / (scale * float(n) ** exps.beta)
 
 
 # the largest horizon: `FractalProfile.n_samples` is an int64 array, so every

@@ -7,8 +7,8 @@ Rational q = t/(2^h p) in lowest terms (p odd) determines everything:
   p >= 3, kappa_eta(k) != 0  singular-continuous with exponent
                              alpha = 2 beta(p) - 1, independent of h.
 
-Irrational wave vectors cannot be certified pointwise; they are classified
-as almost-sure null per the ergodic average of log|sin| under doubling.
+Only rational wave vectors are classified: an irrational one cannot be
+certified pointwise.
 
 The rarefaction domain at q = t/p is the image in the complex plane of the
 box of profile ranges under z = sum_j y_j xi^j with xi = exp(-2 pi i t/p);
@@ -41,13 +41,10 @@ __all__ = [
     "InvarianceReport",
     "normalize_wavevector",
     "classify",
-    "classify_real",
-    "alpha_exact",
     "halving_reduction",
     "rarefaction_domain",
     "extinction_possible",
     "growth_regime",
-    "normalized_densities",
     "marcinkiewicz_norm",
     "class_invariance_check",
 ]
@@ -61,7 +58,6 @@ class SpectralKind(enum.Enum):
     BRAGG = "Bragg"
     SINGULAR_CONTINUOUS = "SingularContinuous"
     EXCLUDED = "Excluded"
-    ALMOST_SURE_NULL = "AlmostSureNull"
 
 
 class GrowthRegime(enum.Enum):
@@ -94,19 +90,6 @@ def normalize_wavevector(q: Fraction) -> NormalizedWaveVector:
     return NormalizedWaveVector(q.numerator, h, d >> h)
 
 
-def alpha_exact(p: int, h: int = 0) -> float:
-    """alpha = 2 beta(p) - 1 for an odd prime p; constant in h by the dyadic
-    halving identity, so h only participates in the signature."""
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    return 2.0 * _headline_beta(quadfield.prime_record(p)) - 1.0
-
-
-def _headline_beta(rec: quadfield.PrimeClassRecord) -> float:
-    """beta(p): the record's closed form, else the coset spectrum's top."""
-    return rec.beta if rec.beta is not None else rareclass.scaling_exponents(rec.p).beta
-
-
 @dataclass(frozen=True)
 class SpectralVerdict:
     """Classification of one wave vector with supporting diagnostics."""
@@ -134,7 +117,8 @@ def _prime_betas(p: int, t: int) -> tuple:
     rec = quadfield.prime_record(p)
     if rec.beta is not None:
         return rec.beta, quadfield.residue_beta(rec, t), "closed-form"
-    return _headline_beta(rec), rareclass.residue_exponent(p, t), "coset-spectrum"
+    beta = rareclass.scaling_exponents(p).beta
+    return beta, rareclass.residue_exponent(p, t), "coset-spectrum"
 
 
 def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
@@ -206,16 +190,6 @@ def _dyadic_extinct(nwv: NormalizedWaveVector, u: Fraction) -> bool:
     if nwv.h >= 2:
         return True
     return u.denominator == 1 and (u.numerator + int(2 * nwv.q)) % 2 == 1
-
-
-def classify_real(k_over_scale: float, params: QuasicrystalParams) -> SpectralVerdict:
-    """Verdict for a wave vector given only as a real number: treated as
-    irrational, hence almost-sure null; no pointwise claim is made."""
-    k = params.wave_vector(k_over_scale)
-    return SpectralVerdict(
-        SpectralKind.ALMOST_SURE_NULL, None, None, None, None, k,
-        -1.0, diffract.kappa_eta_closed(k, params),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +368,6 @@ def extinction_possible(domain: RarefactionDomain) -> bool:
     of approximants die at the singular wave vector.  When False, every
     subsequence keeps nu_l / l^alpha bounded away from zero."""
     return domain.contains_zero
-
-
-def normalized_densities(
-    q: Fraction,
-    params: QuasicrystalParams,
-    alpha: float,
-    sizes: Sequence[int],
-) -> np.ndarray:
-    """nu_l(k)/l^alpha over the given sizes, for extinction scans."""
-    dens = np.array([nu for nu, _ in diffract.density_at_q(q, sizes, params)])
-    return dens / np.asarray([float(s) for s in sizes]) ** alpha
 
 
 def growth_regime(alpha: float, tol: float = 1e-12) -> GrowthRegime:

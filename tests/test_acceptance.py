@@ -78,7 +78,7 @@ def test_criterion_02_coquet_remainder_and_interval(s3_series_16m):
 def test_criterion_03_transfer_recursion_exact():
     """S(2^s n) = M S(n) exactly for p in {3,5,7,11} and n <= 1000."""
     for p in (3, 5, 7, 11):
-        mat = rareclass.transfer_matrix(p, verify_up_to=0)
+        mat = rareclass.transfer_matrix(p)
         for n in range(1, 1001):
             lhs = rareclass.rarefied_vector(p, n << mat.s).entries
             rhs = tuple(mat.apply(list(rareclass.rarefied_vector(p, n).entries)))
@@ -94,7 +94,7 @@ def test_criterion_04_eigenvalue_product_and_char_poly():
         prod = complex(np.prod(rareclass.eigenvalues_explicit(p)))
         assert abs(prod - p) <= 1e-9 * p, p
     for p in (3, 5, 7, 11, 13):
-        mat = rareclass.transfer_matrix(p, verify_up_to=0)
+        mat = rareclass.transfer_matrix(p)
         numeric = np.sort(np.abs(np.linalg.eigvals(circulant(mat.column).astype(float))))
         explicit = np.sort(mat.eigenvalue_moduli_with_multiplicity())
         assert np.allclose(numeric, explicit, atol=1e-6), p
@@ -186,7 +186,7 @@ def test_criterion_06_class_membership_lists():
 def test_criterion_07_size_increasing_primes():
     """Exponent > 1/2 below 1000: exactly {3,5} (full order), {17}
     (half order, 1 mod 4), none (half order, 3 mod 4)."""
-    scan = quadfield.scan_size_increasing(1000, include_other=True)
+    scan = quadfield.scan_size_increasing(1000)
     assert scan.p1 == (3, 5)
     assert scan.p21 == (17,)
     assert scan.p23 == ()

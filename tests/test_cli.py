@@ -486,10 +486,22 @@ class TestRarefy:
 
 
 class TestGoldenBytes:
-    """sha256 of whole `profile` and `rarefy` outputs, pinned so that a
-    change of route keeps every byte."""
+    """sha256 of whole `profile`, `rarefy`, `spectrum` and `classify-primes`
+    outputs, pinned so that a change of route keeps every byte."""
 
     PROFILE = ["--horizon", "48", "--resolution", "512"]
+    # the 76 wave vectors of the benchmark's verdict pool: every prime class,
+    # both P21 cosets, composites, Other primes up to 131071 and a dyadic q
+    VERDICTS = ",".join(
+        f"{t}/{d}" for ts, d in [
+            ((1, 2), 3), ((1, 5), 6), ((5, 7, 1, 11), 12), ((1, 2, 3), 7), ((5,), 14),
+            ((3, 5, 6, 7, 1, 2, 4, 9), 17), ((1, 2, 4, 8, 3, 6, 12, 24), 137),
+            ((1, 2, 3, 5), 9049), ((1, 2, 3, 5), 49033), ((1, 2, 3, 5), 99089),
+            ((1, 2, 3, 5), 199961), ((1, 2, 4, 5), 9), ((1, 2, 4, 5), 21),
+            ((1, 2, 4, 7), 15), ((1, 2, 4, 7), 45), ((1, 2, 3, 5), 43),
+            ((1, 2, 3, 5), 8191), ((1, 2, 3, 5), 131071), ((7, 3, 5, 9), 1024),
+        ] for t in ts
+    )
 
     @pytest.mark.parametrize("argv, digest", [
         (["profile", "--p", "3", *PROFILE],
@@ -510,6 +522,12 @@ class TestGoldenBytes:
          "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
          "94c7d49393b954192547ecad4e9d45930818819356f511bef07cd8017855088d"),
+        (["spectrum", "--q", VERDICTS, "--format", "csv"],
+         "1772356822a3f91845fc74c6ad9b9f16ade7310831bcc50d803c316f77f87db1"),
+        (["spectrum", "--q", VERDICTS, "--format", "json"],
+         "d4553aa89647b01b31a0d1581c1e5131831249d362ce832dfe949fe7d518301c"),
+        (["classify-primes", "--limit", "20000"],
+         "71380c463090ced0146a7d96446565242ec33e886f09ea167ddbfb01f788f15f"),
     ])
     def test_output_digest(self, argv, digest):
         stdout = io.StringIO()

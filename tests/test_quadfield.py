@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from tmqc import rareclass
+from tmqc import quadfield, rareclass
 from tmqc.quadfield import (
     ClassNumberDriftError,
     PrimeClass,
-    beta_for_class,
     class_number,
     classify_prime,
     dirichlet_l_one,
@@ -18,6 +17,7 @@ from tmqc.quadfield import (
     prime_record,
     primes_up_to,
     quadratic_character,
+    residue_beta,
     scan_size_increasing,
 )
 
@@ -174,6 +174,20 @@ class TestLFunctionAndClassNumber:
             checked += 1
         assert checked == 126
 
+    def test_prime_record_takes_h_from_class_number(self, monkeypatch):
+        # class_number is the one route to h: a wrong h reaches the record
+        real = class_number
+        monkeypatch.setattr(quadfield, "class_number", lambda p, tol=1e-6: real(p, tol) + 1)
+        rec = prime_record(17)
+        assert rec.h == 2
+        assert rec.beta == (math.log(17) + 4 * rec.regulator) / (16 * LOG2)
+
+    def test_unit_is_computed_once_per_prime(self):
+        fundamental_unit.cache_clear()
+        prime_record(9049)
+        info = fundamental_unit.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_l_value_refuses_p_beyond_int64_squares(self):
         # 4294967357 is the first prime = 1 (mod 4) above 2^32
         with pytest.raises(ValueError, match="2\\^32"):
@@ -200,8 +214,8 @@ class TestBetaForClass:
     def test_other_class_has_no_closed_form(self):
         rec = prime_record(43)
         assert rec.beta is None
-        with pytest.raises(ValueError):
-            beta_for_class(rec)
+        with pytest.raises(ValueError, match="no closed exponent formula"):
+            residue_beta(rec, 1)
 
     def test_other_class_lower_bound(self):
         # outside the three closed-form classes the exponent strictly
@@ -227,10 +241,11 @@ class TestCrossConsistency:
 
 class TestSizeIncreasingScan:
     def test_limit_200(self):
-        scan = scan_size_increasing(200, include_other=False)
+        scan = scan_size_increasing(200)
         assert scan.p1 == (3, 5)
         assert scan.p21 == (17,)
         assert scan.p23 == ()
+        assert scan.other == (31, 43, 73, 89, 127, 151)
 
     def test_rejects_small_limit(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Rarefied sums, the transfer matrix and its spectrum, profiles."""
 
 import builtins
+import cmath
 import math
 import time
 import tracemalloc
@@ -15,8 +16,6 @@ from scipy.linalg import circulant
 from tmqc import diffract, quadfield, rareclass
 from tmqc.rareclass import (
     coquet_decompose,
-    coset_eigenvalue,
-    cosets_of_two,
     eigenvalues_explicit,
     fractal_profile,
     grabner_composite,
@@ -231,7 +230,7 @@ class TestRarefiedRows:
 def _profile_by_apply(p, j, horizon_exponent, resolution):
     """The profile by its oracles: on every sample, the digit recursion and
     k applications of M."""
-    mat = transfer_matrix(p, verify_up_to=0)
+    mat = transfer_matrix(p)
     beta = mat.exponents.beta
     period_bits = profile_period_factor(p) * mat.s
     k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
@@ -276,7 +275,7 @@ class TestProfileBitIdentity:
 
     @pytest.mark.parametrize("p", [3, 7, 17, 41, 43])
     def test_profile_value_matches_apply_loop(self, p):
-        mat = transfer_matrix(p, verify_up_to=0)
+        mat = transfer_matrix(p)
         k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
         for n in (1, 6, 1001, (1 << 45) + 3, (1 << 70) + 12345):
             refined = rareclass._svec(p, n)
@@ -284,13 +283,13 @@ class TestProfileBitIdentity:
                 refined = mat.apply(refined)
             for j in (0, p // 2, p - 1):
                 expected = refined[j] / (scale * float(n) ** mat.exponents.beta)
-                assert rareclass.profile_value(p, j, n, mat) == expected
+                assert rareclass.profile_value(p, j, n) == expected
 
     @pytest.mark.parametrize("p", [3, 7, 17, 137])  # P1, P23, P21, P21
     def test_refined_dot_equals_the_generator(self, p):
         # the refined read of the doubling table is the generator M^k applied
         # to S(n), for n up to and past 2^62
-        mat = transfer_matrix(p, verify_up_to=0)
+        mat = transfer_matrix(p)
         k_apps, _ = rareclass._profile_refinement(p, mat.exponents)
         ks = k_apps * mat.s
         ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 70) + 12345]
@@ -310,10 +309,9 @@ class TestProfileBitIdentity:
 
     @pytest.mark.parametrize("p, horizon", [(3, 24), (7, 30), (17, 48), (137, 40)])
     def test_profile_value_matches_fractal_profile(self, p, horizon):
-        mat = transfer_matrix(p, verify_up_to=0)
         for j in (0, p // 2, p - 1):
             prof = fractal_profile(p, j, horizon, resolution=16)
-            got = [rareclass.profile_value(p, j, n, mat) for n in prof.n_samples.tolist()]
+            got = [rareclass.profile_value(p, j, n) for n in prof.n_samples.tolist()]
             assert np.array_equal(np.array(got), prof.values)
 
     def test_samples_never_apply_the_matrix(self, monkeypatch):
@@ -349,6 +347,11 @@ class TestProfileBitIdentity:
         with pytest.raises(ValueError, match=r"2\^62"):
             fractal_profile(3, 0, 63, resolution=4)
 
+    def test_profile_value_refuses_p_above_the_spectrum_limit(self):
+        # a prime above 2^23 is refused before any O(p) table is built
+        with pytest.raises(ValueError, match=r"2\^23"):
+            rareclass.profile_value(8388617, 0, 5)
+
 
 class TestTransferMatrix:
     def test_p3_entries(self):
@@ -378,7 +381,7 @@ class TestTransferMatrix:
     @given(data=st.data(),
            p=st.sampled_from([q for q in range(3, 258) if quadfield.is_prime(q)]))
     def test_apply_is_the_dense_circulant_product(self, data, p):
-        mat = transfer_matrix(p, verify_up_to=0)
+        mat = transfer_matrix(p)
         vec = data.draw(st.lists(st.integers(-(1 << 200), 1 << 200), min_size=p, max_size=p))
         # the dense M in Python ints (object dtype): its column entries reach
         # 2^s / p, beyond int64 for s > 63
@@ -394,7 +397,7 @@ class TestTransferMatrix:
     def test_holds_o_p_integers(self):
         tracemalloc.start()
         try:
-            mat = transfer_matrix(8191, verify_up_to=0)
+            mat = transfer_matrix(8191)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,13 +405,13 @@ class TestTransferMatrix:
         # a dense p x p table of Python ints would take hundreds of MB
         assert peak < 16 << 20
 
-    def test_violated_recursion_is_arithmetic_error(self, monkeypatch):
+    def test_corrupt_column_is_arithmetic_error(self, monkeypatch):
+        # one wrong entry of the column S(2^s) from the digit recursion: the
+        # doubling table's row s disagrees
         real = rareclass._svec
-        # a constant shift would pass: the rows of M sum to zero
-        monkeypatch.setattr(rareclass, "_svec",
-                            lambda p, n: [real(p, n)[0] + (n == 6)] + real(p, n)[1:])
-        with pytest.raises(ArithmeticError, match="p=3, n=6"):
-            transfer_matrix(3, verify_up_to=8)
+        monkeypatch.setattr(rareclass, "_svec", lambda p, n: [real(p, n)[0] + 1] + real(p, n)[1:])
+        with pytest.raises(ArithmeticError, match="p=7"):
+            transfer_matrix(7)
 
     def test_violated_column_sum_is_arithmetic_error(self):
         with pytest.raises(ArithmeticError, match="prefix-sum identity"):
@@ -425,6 +428,19 @@ def _orbit_exponent_fsum(p, t):
         terms.append(math.log2(2.0 * math.sin(math.pi * r / p)))
         w = 2 * w % p
     return math.fsum(terms) / s
+
+
+def _coset_eigenvalue(p, t):
+    """Test-local oracle of the coset spectrum: the circulant eigenvalue at
+    character t, prod over w in t<2> of (1 - zeta^w), zeta = exp(-2 pi i / p),
+    as the direct complex product, one power per orbit step.  Its modulus
+    equals |xi| of the matching coset."""
+    zeta = cmath.exp(-2j * math.pi / p)
+    w, mu = t % p, 1.0 + 0j
+    for _ in range(rareclass.order_of_two(p)):
+        mu *= 1.0 - zeta**w
+        w = 2 * w % p
+    return mu
 
 
 def _cosets_by_scan(p):
@@ -471,12 +487,12 @@ class TestSpectrumOfM:
         for p in _ODD_PRIMES_2000:
             sp = rareclass._coset_spectrum(p)
             for row, lg in zip(sp.cosets.tolist(), sp.log2_moduli.tolist()):
-                oracle = math.log2(abs(coset_eigenvalue(p, min(row)))) / sp.s
+                oracle = math.log2(abs(_coset_eigenvalue(p, min(row)))) / sp.s
                 assert abs(lg / sp.s - oracle) <= 1e-12, (p, min(row))
 
     def test_char_poly_moduli(self):
         for p in (3, 5, 11):
-            mat = transfer_matrix(p, verify_up_to=0)
+            mat = transfer_matrix(p)
             numeric = np.sort(np.abs(np.linalg.eigvals(circulant(mat.column).astype(float))))
             expected = np.sort(mat.eigenvalue_moduli_with_multiplicity())
             assert np.allclose(numeric, expected, atol=1e-6)
@@ -505,7 +521,8 @@ class TestSpectrumOfM:
 class TestCosetSpectrum:
     def test_cosets_match_the_residue_scan(self):
         for p in _ODD_PRIMES_2000[:80]:
-            assert cosets_of_two(p) == _cosets_by_scan(p), p
+            cosets = rareclass._coset_spectrum(p).cosets.tolist()
+            assert sorted(tuple(sorted(row)) for row in cosets) == _cosets_by_scan(p), p
 
     def test_scaling_exponents_match_closed_forms(self):
         for p in _ODD_PRIMES_2000:

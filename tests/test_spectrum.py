@@ -13,19 +13,21 @@ from tmqc import diffract, quadfield, rareclass, spectrum
 from tmqc.spectrum import (
     GrowthRegime,
     SpectralKind,
-    alpha_exact,
     class_invariance_check,
     classify,
-    classify_real,
     extinction_possible,
     growth_regime,
     halving_reduction,
     marcinkiewicz_norm,
     normalize_wavevector,
-    normalized_densities,
     rarefaction_domain,
 )
 from tmqc.tmcore import QuasicrystalParams
+
+
+def _alpha(p, params, t=1, h=0):
+    """The headline exponent alpha of q = t/(2^h p), as `classify` reports it."""
+    return classify(Fraction(t, 2**h * p), params).alpha
 
 
 class TestNormalization:
@@ -255,23 +257,20 @@ class TestClassify:
         assert SpectralKind.BRAGG in kinds
         assert SpectralKind.SINGULAR_CONTINUOUS in kinds
 
-    def test_irrational_marker(self, params21):
-        v = classify_real(0.5641895835477563, params21)
-        assert v.kind is SpectralKind.ALMOST_SURE_NULL
-
 
 class TestAlphaExact:
-    def test_values(self):
-        assert alpha_exact(3) == pytest.approx(0.5849625007, abs=1e-9)
-        assert alpha_exact(17) == pytest.approx(2 * 0.6332 - 1, abs=2e-3)
-        assert alpha_exact(7) == pytest.approx(2 * math.log(7) / (6 * math.log(2)) - 1, rel=1e-12)
+    def test_values(self, params21):
+        assert _alpha(3, params21) == pytest.approx(0.5849625007, abs=1e-9)
+        assert _alpha(17, params21) == pytest.approx(2 * 0.6332 - 1, abs=2e-3)
+        assert _alpha(7, params21) == pytest.approx(
+            2 * math.log(7) / (6 * math.log(2)) - 1, rel=1e-12)
 
-    def test_h_independence(self):
+    def test_h_independence(self, params21):
         for h in (0, 1, 2, 9):
-            assert alpha_exact(3, h) == alpha_exact(3, 0)
+            assert _alpha(3, params21, h=h) == _alpha(3, params21)
 
-    def test_other_class_delegates_to_spectrum(self):
-        a = alpha_exact(43)
+    def test_other_class_delegates_to_spectrum(self, params21):
+        a = _alpha(43, params21)
         assert -1.0 < a < 1.0
         beta = rareclass.scaling_exponents(43).beta
         assert a == pytest.approx(2 * beta - 1, rel=1e-12)
@@ -334,7 +333,7 @@ class TestRarefactionDomain:
     def test_no_extinction_when_origin_excluded(self, params21):
         dom = rarefaction_domain(1, 3, 16, resolution=128)
         assert not extinction_possible(dom)
-        alpha = alpha_exact(3)
+        alpha = _alpha(3, params21)
         k = params21.wave_vector(Fraction(1, 3))
         ke2 = abs(diffract.kappa_eta_closed(k, params21)) ** 2
         floor = ke2 * dom.min_mod**2
@@ -342,18 +341,20 @@ class TestRarefactionDomain:
         for _ in range(20):
             ns = np.unique(rng.integers(64, (1 << 22) // 3, size=12))
             sizes = [int(3 * n + 1) for n in ns]
-            vals = normalized_densities(Fraction(1, 3), params21, alpha, sizes)
+            dens = np.array([nu for nu, _ in diffract.density_at_q(Fraction(1, 3), sizes, params21)])
+            vals = dens / np.asarray(sizes, dtype=float) ** alpha
             assert vals.min() > 0.9 * floor
 
     def test_scaling_upper_bound(self, params21):
         # limsup of nu_l / l^alpha is bounded by |kappa_eta|^2 max_mod^2
         dom = rarefaction_domain(1, 3, 20, resolution=256)
-        alpha = alpha_exact(3)
+        alpha = _alpha(3, params21)
         k = params21.wave_vector(Fraction(1, 3))
         ke2 = abs(diffract.kappa_eta_closed(k, params21)) ** 2
         ns = np.unique(np.round(np.logspace(2, math.log10((1 << 22) // 3), 400)).astype(int))
         sizes = [int(3 * n + 1) for n in ns]
-        vals = normalized_densities(Fraction(1, 3), params21, alpha, sizes)
+        dens = np.array([nu for nu, _ in diffract.density_at_q(Fraction(1, 3), sizes, params21)])
+        vals = dens / np.asarray(sizes, dtype=float) ** alpha
         assert vals.max() <= ke2 * dom.max_mod**2 * 1.05
 
     def test_degenerate_domain_handling(self):
@@ -371,10 +372,10 @@ class TestRarefactionDomain:
 
 
 class TestGrowthRegime:
-    def test_examples(self):
-        assert growth_regime(alpha_exact(3)) is GrowthRegime.SIZE_INCREASING
-        assert growth_regime(alpha_exact(7)) is GrowthRegime.SIZE_DECREASING
-        assert growth_regime(alpha_exact(17)) is GrowthRegime.SIZE_INCREASING
+    def test_examples(self, params21):
+        assert growth_regime(_alpha(3, params21)) is GrowthRegime.SIZE_INCREASING
+        assert growth_regime(_alpha(7, params21)) is GrowthRegime.SIZE_DECREASING
+        assert growth_regime(_alpha(17, params21)) is GrowthRegime.SIZE_INCREASING
         assert growth_regime(0.0) is GrowthRegime.ETALE
 
     def test_rejects_out_of_range(self):
@@ -409,7 +410,7 @@ class TestAlphaConsistency:
             sizes = [int(p * n + 1) for n in ns]
             k = params21.wave_vector(Fraction(t, p))
             fit = diffract.fitted_alpha(k, sizes, params21)
-            assert fit.alpha == pytest.approx(alpha_exact(p), abs=0.05)
+            assert fit.alpha == pytest.approx(_alpha(p, params21), abs=0.05)
 
     def test_fitted_insensitive_to_dyadic_denominator(self, params21):
         # h >= 1 goes through the halving identity: the sign-sequence
@@ -427,7 +428,7 @@ class TestAlphaConsistency:
             slope = np.polyfit(
                 [n * math.log(2.0) for n in ns], np.log(dens), 1
             )[0]
-            assert slope == pytest.approx(alpha_exact(p), abs=0.05), (p, t, h)
+            assert slope == pytest.approx(_alpha(p, params21, t, h), abs=0.05), (p, t, h)
 
     def test_physical_comb_with_dyadic_denominator(self, params21):
         # the full comb needs the eta part to outgrow the bounded lattice
@@ -437,7 +438,7 @@ class TestAlphaConsistency:
             k = params21.wave_vector(q)
             sizes = [1 << j for j in range(10, 23)]
             fit = diffract.fitted_alpha(k, sizes, params21)
-            assert fit.alpha == pytest.approx(alpha_exact(3), abs=0.05)
+            assert fit.alpha == pytest.approx(_alpha(3, params21), abs=0.05)
 
 
 class TestMarcinkiewicz:
