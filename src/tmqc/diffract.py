@@ -38,9 +38,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -561,8 +560,7 @@ def kappa_eta_at_q(q, params: QuasicrystalParams) -> complex:
     return -complex(c, -s) ** 2 * (s * s)  # -e^{-i theta/2} sin^2(theta/4)
 
 
-@dataclass(frozen=True)
-class FourierCoefficients:
+class FourierCoefficients(NamedTuple):
     """Even/odd coefficient sums at one wave vector.
 
     kappa/kappa_eta are the closed forms; the partial fields are symmetric
@@ -622,8 +620,7 @@ def kappa_pair(
 # exponent fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaFit:
+class AlphaFit(NamedTuple):
     """Least-squares exponent of nu_l against l on a log-log grid."""
 
     alpha: float

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def _class_of(p: int, s: int) -> PrimeClass:
 # fundamental units via exact continued fractions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FundamentalUnit:
+class FundamentalUnit(NamedTuple):
     """eps = u + v*omega > 1 with omega = (1 + sqrt p)/2, norm +-1."""
 
     p: int
@@ -266,12 +265,14 @@ def dirichlet_l_one(p: int) -> float:
     return -2.0 * math.fsum(parts) / math.sqrt(p)
 
 
+@functools.lru_cache(maxsize=16)
 def class_number(p: int, tol: float = 1e-6) -> int:
     """h = sqrt(p) L(1, chi_p) / (2 log eps) for a prime p = 1 (mod 4),
     rounded, from one unit and one L-value.  The pre-rounding value must
     lie within tol of an integer (ClassNumberDriftError otherwise), and L
     must obey Hua's bound L(1, chi_p) < log(p)/2 + 1 (ArithmeticError
-    otherwise)."""
+    otherwise).  Cached like `fundamental_unit`, so wave vectors over one
+    prime share its O(p) L-sum."""
     eps = fundamental_unit(p)
     l_value = dirichlet_l_one(p)
     raw = math.sqrt(p) * l_value / (2.0 * eps.log_value())
@@ -285,8 +286,7 @@ def class_number(p: int, tol: float = 1e-6) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class PrimeClassRecord:
+class PrimeClassRecord(NamedTuple):
     """Classification record for one odd prime."""
 
     p: int
@@ -345,8 +345,7 @@ def prime_record(p: int) -> PrimeClassRecord:
     return PrimeClassRecord(p, s, cls, None, None, None)
 
 
-@dataclass(frozen=True)
-class SizeIncreasingScan:
+class SizeIncreasingScan(NamedTuple):
     """Primes with growth exponent beta > 1/2, by class, below a limit."""
 
     limit: int

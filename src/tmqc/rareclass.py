@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .tmcore import sign_array, tm_sign
+from .tmcore import _Frozen, sign_array, tm_sign
 from .quadfield import PrimeClass, _factorize, classify_prime, is_prime, order_of_two
 
 __all__ = [
@@ -171,20 +170,36 @@ def rarefied_sum_direct(p: int, i: int, n: int) -> int:
     return sum(tm_sign(m) for m in range(i, n, p))
 
 
-@dataclass(frozen=True)
-class RarefiedVector:
-    """The integer vector (S_{p,0}(n), ..., S_{p,p-1}(n))."""
+class RarefiedVector(_Frozen):
+    """The integer vector (S_{p,0}(n), ..., S_{p,p-1}(n)).
 
-    p: int
-    n: int
-    entries: tuple
+    Immutable; equal and hashed by (p, n, entries)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("p", "n", "entries")
+
+    def __init__(self, p: int, n: int, entries: tuple) -> None:
         # column sum equals the plain prefix sum of the sign sequence
-        total = sum(self.entries)
-        expected = 0 if self.n % 2 == 0 else tm_sign(self.n - 1)
-        if total != expected:
+        expected = 0 if n % 2 == 0 else tm_sign(n - 1)
+        if sum(entries) != expected:
             raise ArithmeticError("rarefied column sum violates the prefix-sum identity")
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "n", n)
+        init(self, "entries", entries)
+
+    def __reduce__(self):
+        return RarefiedVector, (self.p, self.n, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not RarefiedVector:
+            return NotImplemented
+        return (self.p, self.n, self.entries) == (other.p, other.n, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"RarefiedVector(p={self.p!r}, n={self.n!r}, entries={self.entries!r})"
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
@@ -308,8 +323,7 @@ def _orbit_log2(w: np.ndarray, p: int) -> np.ndarray:
     return x.sum(axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class _CosetSpectrum:
+class _CosetSpectrum(NamedTuple):
     """The cosets a<2> of (Z/pZ)* with their eigenvalues
     xi_a = (-2i)^s prod_{j in a<2>} sin(2 pi j / p) = (-i)^s sign_a |xi_a|,
     ordered by |xi_a| descending, then by smallest representative.
@@ -434,8 +448,7 @@ def eigenvalues_explicit(p: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class ScalingExponents:
+class ScalingExponents(NamedTuple):
     """beta from lambda_1; beta1 from the two-case lambda_2 rule.
 
     The rule has a gap at lambda_2 = 1; in that boundary band beta1 is None
@@ -449,8 +462,7 @@ class ScalingExponents:
     lambda2_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """The circulant p x p matrix M[i][j] = S_{p,i-j}(2^s), held as its column."""
 
     p: int
@@ -550,8 +562,7 @@ def _profile_refinement(p: int, exps: ScalingExponents) -> tuple:
     return 0, 1.0
 
 
-@dataclass(frozen=True)
-class FractalProfile:
+class FractalProfile(NamedTuple):
     """Samples of the log-periodic profile for one residue j.
 
     `raw` holds S_{p,j}(n)/n^beta at x = frac(log n / (r s log 2)).
@@ -700,8 +711,7 @@ def coquet_decompose(n: int) -> tuple:
     return psi, eps
 
 
-@dataclass(frozen=True)
-class NewmanReport:
+class NewmanReport(NamedTuple):
     n_max: int
     violations: int
     min_ratio: float
@@ -738,8 +748,7 @@ def newman_check(n_max: int) -> NewmanReport:
     )
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     p: int
     n_max: int
     violation_count: int
@@ -763,8 +772,7 @@ def positivity_scan(p: int, n_max: int) -> PositivityReport:
     return PositivityReport(p, n_max, count, largest, in_last)
 
 
-@dataclass(frozen=True)
-class GrabnerReport:
+class GrabnerReport(NamedTuple):
     r1: int
     r2: int
     p: int
@@ -773,7 +781,7 @@ class GrabnerReport:
     c_max: float                    # max |residual| / log N over N >= 2
     dominant_exponent: float
     dominant_target: float
-    residuals: np.ndarray = field(repr=False)
+    residuals: np.ndarray
 
 
 def grabner_composite(r1: int, r2: int, n_max: int) -> GrabnerReport:

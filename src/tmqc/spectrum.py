@@ -21,9 +21,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +65,7 @@ class GrowthRegime(enum.Enum):
     SIZE_DECREASING = "size-decreasing"
 
 
-@dataclass(frozen=True)
-class NormalizedWaveVector:
+class NormalizedWaveVector(NamedTuple):
     """q = t/(2^h p) in lowest terms with p odd; the split is unique."""
 
     t: int
@@ -90,8 +88,7 @@ def normalize_wavevector(q: Fraction) -> NormalizedWaveVector:
     return NormalizedWaveVector(q.numerator, h, d >> h)
 
 
-@dataclass(frozen=True)
-class SpectralVerdict:
+class SpectralVerdict(NamedTuple):
     """Classification of one wave vector with supporting diagnostics."""
 
     kind: SpectralKind
@@ -196,8 +193,7 @@ def _dyadic_extinct(nwv: NormalizedWaveVector, u: Fraction) -> bool:
 # dyadic halving of the denominator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalvingReduction:
+class HalvingReduction(NamedTuple):
     """(1/2^n)|S_{2^n}(t/(2^h p))|^2 factors as prefactor times the density
     at the odd denominator: both sides are carried for verification."""
 
@@ -236,8 +232,7 @@ def halving_reduction(t: int, h: int, p: int, n: int) -> HalvingReduction:
 # rarefaction domain (zonogon geometry)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RarefactionDomain:
+class RarefactionDomain(NamedTuple):
     """Image of the profile-range box under z = sum_j y_j xi^j.
 
     Bounds are empirical profile ranges, so the domain is an estimate of the
@@ -251,7 +246,7 @@ class RarefactionDomain:
     min_mod: float
     max_mod: float
     contains_zero: bool
-    vertices: tuple = field(repr=False)
+    vertices: tuple
     horizon_exponent: int = 0
 
 
@@ -394,8 +389,7 @@ def _weights_array(weights, length: int) -> np.ndarray:
     return arr[:length]
 
 
-@dataclass(frozen=True)
-class MarcinkiewiczEstimate:
+class MarcinkiewiczEstimate(NamedTuple):
     """Truncated stand-in for limsup (1/l) sum_{n<=l} |w(n)|: the maximum of
     the averaged absolute weights over the dyadic tail window [L/2, L]."""
 
@@ -424,8 +418,7 @@ def marcinkiewicz_norm(weights, horizon: int) -> MarcinkiewiczEstimate:
     )
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Per-horizon comparison of intensities of two weight sequences."""
 
     q: Fraction

@@ -13,7 +13,6 @@ the diffraction-evaluation boundary (see `diffract`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -70,32 +69,58 @@ def signs_of(m: np.ndarray) -> np.ndarray:
     return 1 - 2 * (pc & 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class QuasicrystalParams:
+class _Frozen:
+    """Base of the records that check their fields in `__init__`: each slot
+    is set there once, through `object.__setattr__`, and never again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class QuasicrystalParams(_Frozen):
     """Tile lengths (a, b) as exact rationals with 0 < b < a.
 
     Derived constants: alpha1 = (a+b)/2 (mean tile), alpha0 = -(a-b)/2 and
     alpha2 = 2(a-b) (the modulation amplitude entering the Fourier
     coefficients).  `gab_value` is the rational content of (a-b, a+b):
     gcd of the numerators over the common denominator, a length.
+
+    Immutable; equal and hashed by (a, b).
     """
 
-    a: Fraction
-    b: Fraction
-    gab_value: Fraction = field(init=False)
-    # 4 pi/(a+b) as a float, the factor of `wave_vector`
-    _k_per_q: float = field(init=False, repr=False, compare=False)
+    # _k_per_q: 4 pi/(a+b) as a float, the factor of `wave_vector`
+    __slots__ = ("a", "b", "gab_value", "_k_per_q")
 
-    def __post_init__(self) -> None:
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        a, b = Fraction(a), Fraction(b)
         if not (0 < b < a):
             raise ValueError("tile lengths must satisfy 0 < b < a")
         den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
         ai, bi = int(a * den), int(b * den)
-        object.__setattr__(self, "gab_value", Fraction(gcd(ai - bi, ai + bi), den))
-        object.__setattr__(self, "_k_per_q", 4.0 * np.pi / float(a + b))
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "gab_value", Fraction(gcd(ai - bi, ai + bi), den))
+        init(self, "_k_per_q", 4.0 * np.pi / float(a + b))
+
+    def __reduce__(self):
+        return QuasicrystalParams, (self.a, self.b)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuasicrystalParams:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"QuasicrystalParams(a={self.a!r}, b={self.b!r}, gab_value={self.gab_value!r})"
 
     @property
     def alpha1(self) -> Fraction:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from tmqc import quadfield
 from tmqc.tmcore import QuasicrystalParams
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+[a-z]?)(?:_|$)")
@@ -21,6 +22,13 @@ _results: dict = {}
 @pytest.fixture(scope="session")
 def params21() -> QuasicrystalParams:
     return QuasicrystalParams(Fraction(2), Fraction(1))
+
+
+@pytest.fixture(autouse=True)
+def fresh_class_numbers():
+    """Each test computes its class numbers afresh, so a test that patches
+    what `quadfield.class_number` calls (the L-value, the unit) reaches it."""
+    quadfield.class_number.cache_clear()
 
 
 def pytest_runtest_makereport(item, call):

@@ -80,7 +80,7 @@ class TestRarefiedSums:
         rng = np.random.default_rng(4)
         for p in (3, 5, 7, 11):
             for n in rng.integers(0, 1 << 20, size=20):
-                vec = rarefied_vector(p, int(n))  # checked in __post_init__
+                vec = rarefied_vector(p, int(n))  # checked in __init__
                 expected = sum(tm_sign(m) for m in range(int(n))) if n < 4096 else None
                 if expected is not None:
                     assert sum(vec.entries) == expected

@@ -240,6 +240,16 @@ class TestClassify:
             assert v.exponent_source == "closed-form"
             assert math.isfinite(v.residue_alpha)
 
+    def test_wave_vectors_over_one_prime_share_its_l_sum(self, params21, monkeypatch):
+        # four q over the P21 prime 199961: one O(p) L-sum, not one per q
+        calls = []
+        real = quadfield.dirichlet_l_one
+        monkeypatch.setattr(quadfield, "dirichlet_l_one",
+                            lambda p: calls.append(p) or real(p))
+        verdicts = [classify(Fraction(t, 199961), params21) for t in (1, 2, 3, 5)]
+        assert calls == [199961]
+        assert all(v.exponent_source == "closed-form" for v in verdicts)
+
     def test_verdict_partition(self, params21):
         rng = np.random.default_rng(8)
         kinds = set()
