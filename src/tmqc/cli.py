@@ -150,29 +150,41 @@ def _emit(columns: list, rows: list, fmt: str, out_path: str | None) -> None:
     elif rows:
         import json  # on demand: most runs write CSV
 
-        # the indent=2 layout of json.dumps, written by hand around rows that
-        # the C encoder writes one at a time: its item separator carries a
-        # row's inner indentation (every value is a scalar)
+        # rows that the C encoder writes one at a time: its item separator
+        # carries a row's inner indentation (every value is a scalar)
         encode = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
-        text = "[\n  {\n    " + "\n  },\n  {\n    ".join(
-            encode(dict(zip(columns, row)))[1:-1] for row in rows
-        ) + "\n  }\n]\n"
+        text = _json_records([encode(dict(zip(columns, row)))[1:-1] for row in rows])
     else:
         text = "[]\n"
     _write(text, out_path)
 
 
+def _json_records(bodies: list) -> str:
+    """The indent=2 layout of json.dumps for a non-empty list of objects,
+    written by hand around their bodies: each body is an object's members
+    joined by a comma, a newline and four spaces.  The brackets go onto the
+    first and last body in place, so the text is built by one join, with
+    no second copy of it."""
+    bodies[0] = "[\n  {\n    " + bodies[0]
+    bodies[-1] += "\n  }\n]\n"
+    return "\n  },\n  {\n    ".join(bodies)
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (columns, rows), a row being a tuple in column
-# order, for `_emit`; `rarefy` returns its finished text instead
+# order, for `_emit`; `profile` and `rarefy` return their finished text
+# instead
 # ---------------------------------------------------------------------------
 
 def _cmd_sequence(args) -> tuple:
@@ -254,44 +266,64 @@ def _cmd_spectrum(args) -> tuple:
     return columns, rows
 
 
-def _cmd_profile(args) -> tuple:
+def _cmd_profile(args) -> str:
+    """The profile samples, then the bounds row, in the bytes `_emit` would
+    write.  Every cell is an int or a float, which neither format quotes,
+    so a row is one f-string of `repr`s.  JSON has no text for a value that
+    is not finite, so there such a value fails the run."""
     try:
         prof = rareclass.fractal_profile(
             args.p, args.j, args.horizon, resolution=args.resolution
         )
     except ValueError as exc:  # p, residue, horizon or resolution out of range
         raise UsageError(str(exc)) from exc
-    rows = list(zip(prof.x.tolist(), prof.values.tolist(), prof.raw.tolist(),
-                    prof.n_samples.tolist()))
+    samples = zip(prof.x.tolist(), prof.values.tolist(), prof.raw.tolist(),
+                  prof.n_samples.tolist())
+    lo, hi = prof.bounds
     # bounds summary row goes last so column-oriented plotting can drop it
-    rows.append((None, prof.bounds[0], prof.bounds[1], None))
-    return ["x", "psi", "raw", "n"], rows
+    if args.format == "csv":
+        rows = [f"{x!r},{psi!r},{raw!r},{n}\n" for x, psi, raw, n in samples]
+        return "".join(["x,psi,raw,n\n", *rows, f",{lo!r},{hi!r},\n"])
+    if not all(np.isfinite(a).all() for a in (prof.x, prof.values, prof.raw)):
+        raise ArithmeticError("profile value is not finite, and JSON has no text for it")
+    return _json_records([
+        f'"x": {x!r},\n    "psi": {psi!r},\n    "raw": {raw!r},\n    "n": {n}'
+        for x, psi, raw, n in samples
+    ] + [f'"x": null,\n    "psi": {lo!r},\n    "raw": {hi!r},\n    "n": null'])
 
 
 def _cmd_rarefy(args) -> str:
     """The table of S_{p,*}(n), n = 0..limit, in the bytes `_emit` would
     write, rendered from the running scan `rareclass.rarefied_rows`.  Row n
     differs from row n - 1 only in the one cell the scan yields, so each
-    cell keeps its text, one cell is formatted per row, and a row is one
-    `join`.  The whole text is built before anything is written, so a
-    failed check of the scan writes nothing."""
+    cell keeps its text and one cell is formatted per row.  The cells sit
+    in blocks of isqrt(p) + 1, each block keeping its joined text, so a row
+    re-joins the one block that changed and then the about sqrt(p) block
+    texts: O(sqrt p) joins a row instead of O(p).  The whole text is built
+    before anything is written, so a failed check of the scan writes
+    nothing."""
     p = args.p
     if args.format == "csv":
         n_label, labels, sep = "", [""] * p, ","
-        head = ",".join(["n"] + [f"s{i}" for i in range(p)]) + "\n"
-        between, tail = "\n", "\n"
-    else:  # the indent=2 layout of json.dumps, as in `_emit`
+    else:  # a line is a record body for `_json_records`
         n_label, labels, sep = '"n": ', [f'"s{i}": ' for i in range(p)], ",\n    "
-        head, between, tail = "[\n  {\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"
-    cells = [label + "0" for label in labels]
-    lines = [n_label + "0" + sep + sep.join(cells)]
+    width = math.isqrt(len(labels)) + 1
+    blocks = [[label + "0" for label in labels[k:k + width]] for k in range(0, p, width)]
+    row = [n_label + "0"] + [sep.join(block) for block in blocks]
+    lines = [sep.join(row)]
     try:
         for n, (i, value) in enumerate(rareclass.rarefied_rows(p, args.limit), 1):
-            cells[i] = labels[i] + str(value)
-            lines.append(n_label + str(n) + sep + sep.join(cells))
+            b, k = divmod(i, width)
+            block = blocks[b]
+            block[k] = labels[i] + str(value)
+            row[0] = n_label + str(n)
+            row[b + 1] = sep.join(block)
+            lines.append(sep.join(row))
     except ValueError as exc:  # p or limit out of range
         raise UsageError(str(exc)) from exc
-    return head + between.join(lines) + tail
+    if args.format == "csv":
+        return "\n".join([",".join(["n"] + [f"s{i}" for i in range(p)]), *lines, ""])
+    return _json_records(lines)
 
 
 _WEIGHT_FAMILIES = ("ones", "zero", "squares", "random")
@@ -325,6 +357,8 @@ def _cmd_marcinkiewicz(args) -> tuple:
         raise UsageError(
             f"horizon must be in [0, {MAX_WEIGHT_HORIZON}] (log2 of the number of weights)"
         )
+    if args.seed < 0:  # numpy's generators take only non-negative seeds
+        raise UsageError(f"--seed must be >= 0, not {args.seed}")
     w = _weights_by_name(args.weights, 1 << args.horizon, args.seed)
     est = spectrum.marcinkiewicz_norm(w, 1 << args.horizon)
     rows = [(l, v, None) for l, v in est.dyadic_values]

@@ -345,7 +345,78 @@ class TestImports:
         assert out.split() == ["False", "False", "True"]
 
 
+def _first_difference(got, want):
+    """None if the texts are equal, else the first line that differs (a
+    plain == on megabyte strings has pytest diff them for minutes)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+             min(len(got_lines), len(want_lines)))
+    return i, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+def _reference_profile(p, j, horizon, resolution, fmt):
+    """The profile table as the generic writers render `fractal_profile`'s
+    rows, the bounds row last."""
+    prof = rareclass.fractal_profile(p, j, horizon, resolution=resolution)
+    columns = ["x", "psi", "raw", "n"]
+    rows = list(zip(prof.x.tolist(), prof.values.tolist(), prof.raw.tolist(),
+                    prof.n_samples.tolist()))
+    rows.append((None, *prof.bounds, None))
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2,
+                          allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def _profile_cases(draw):
+    """(p, j, horizon, resolution, format, to_file): primes of every class
+    (P1 3, 5, 11; P23 7, 23; P21 17, 41; Other 31, 43), any residue j,
+    horizon <= 20."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 17, 23, 31, 41, 43]))
+    return (p, draw(st.integers(0, p - 1)), draw(st.integers(1, 20)),
+            draw(st.integers(1, 96)), draw(st.sampled_from(["csv", "json"])),
+            draw(st.booleans()))
+
+
+def _run_to_text(argv, to_file):
+    """(exit code, output text) of `main(argv)`, the output read from
+    `--out FILE` when to_file (stdout then must stay empty)."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv + (["--out", path] if to_file else []))
+        if not to_file:
+            return code, stdout.getvalue()
+        assert stdout.getvalue() == ""
+        with open(path, encoding="utf-8") as fh:
+            return code, fh.read()
+
+
 class TestProfileCommand:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(case=_profile_cases())
+    @example(case=(3, 0, 1, 1, "json", False))
+    @example(case=(17, 5, 20, 96, "csv", True))
+    @example(case=(43, 42, 20, 64, "json", True))
+    def test_table_is_the_reference_rendering(self, case):
+        # each row is rendered from one template; it must give the bytes
+        # csv.writer and json.dumps give for the same rows
+        p, j, horizon, resolution, fmt, to_file = case
+        argv = ["profile", "--p", str(p), "--j", str(j), "--horizon", str(horizon),
+                "--resolution", str(resolution), "--format", fmt]
+        code, text = _run_to_text(argv, to_file)
+        assert code == 0
+        want = _reference_profile(p, j, horizon, resolution, fmt)
+        assert _first_difference(text, want) is None
+
     def test_p3_residue0_within_window(self, capsys):
         code, out, _ = run_cli(
             ["profile", "--p", "3", "--j", "0", "--horizon", "14",
@@ -421,17 +492,6 @@ def _reference_rarefy(p, limit, fmt):
     return buf.getvalue()
 
 
-def _first_difference(got, want):
-    """None if the texts are equal, else the first line that differs (a
-    plain == on megabyte strings has pytest diff them for minutes)."""
-    if got == want:
-        return None
-    got_lines, want_lines = got.split("\n"), want.split("\n")
-    i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
-             min(len(got_lines), len(want_lines)))
-    return i, got_lines[i:i + 1], want_lines[i:i + 1]
-
-
 @st.composite
 def _rarefy_cases(draw):
     """(p, limit, format, to_file): odd p <= 301, and a limit of 0, below
@@ -453,19 +513,8 @@ class TestRarefy:
         # give the bytes csv.writer and json.dumps give for the same rows
         p, limit, fmt, to_file = case
         argv = ["rarefy", "--p", str(p), "--limit", str(limit), "--format", fmt]
-        stdout = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "table")
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv + (["--out", path] if to_file else []))
-            if to_file:
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
+        code, text = _run_to_text(argv, to_file)
         assert code == 0
-        if to_file:
-            assert stdout.getvalue() == ""
-        else:
-            text = stdout.getvalue()
         assert _first_difference(text, _reference_rarefy(p, limit, fmt)) is None
 
     def test_vectors(self, capsys):
@@ -528,6 +577,10 @@ class TestGoldenBytes:
          "d4553aa89647b01b31a0d1581c1e5131831249d362ce832dfe949fe7d518301c"),
         (["classify-primes", "--limit", "20000"],
          "71380c463090ced0146a7d96446565242ec33e886f09ea167ddbfb01f788f15f"),
+        (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],
+         "50fa0ae47671c9c8061de6f22a736bedefbfb792e9a5dd170630bd99cfdc492c"),
+        (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
+         "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
     ])
     def test_output_digest(self, argv, digest):
         stdout = io.StringIO()
@@ -556,6 +609,13 @@ class TestMarcinkiewiczCommand:
         code, out, err = run_cli(["marcinkiewicz", "--horizon", horizon], capsys)
         assert (code, out) == (1, "")
         assert "[0, 27]" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # numpy's default_rng raised "expected non-negative integer"
+        code, out, err = run_cli(
+            ["marcinkiewicz", "--weights", "random", "--seed", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert "--seed" in err and "Traceback" not in err
 
     def test_horizon_zero(self, capsys):
         code, out, _ = run_cli(["marcinkiewicz", "--horizon", "0"], capsys)
@@ -682,9 +742,50 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "prefix-sum identity at n=6" in err
 
+    def test_doubling_table_disagreement_in_profile_is_exit_2(self, capsys, monkeypatch):
+        from tmqc import rareclass
+
+        real = rareclass._svec
+        monkeypatch.setattr(rareclass, "_svec",
+                            lambda p, n: [v + (i == 0) for i, v in enumerate(real(p, n))])
+        code, out, err = run_cli(
+            ["profile", "--p", "17", "--horizon", "12", "--resolution", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert "doubling table disagrees" in err
+
+    def test_non_finite_profile_value_is_exit_2_in_json(self, capsys, monkeypatch):
+        from tmqc import rareclass
+
+        real = rareclass.fractal_profile
+
+        def with_nan(*args, **kwargs):
+            prof = real(*args, **kwargs)
+            prof.values[1] = math.nan
+            return prof
+
+        monkeypatch.setattr(rareclass, "fractal_profile", with_nan)
+        argv = ["profile", "--p", "3", "--horizon", "6", "--resolution", "4"]
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert "not finite" in err
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and ",nan," in out
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sequence", "--limit", "3"],
+        ["rarefy", "--p", "5", "--limit", "7"],
+        ["profile", "--p", "3", "--horizon", "6", "--resolution", "4"],
+        ["spectrum", "--q", "1/3", "--format", "json"],
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "table")
+        code, out, err = run_cli(argv + ["--out", path], capsys)
+        assert (code, out) == (1, "")
+        assert path in err and "Traceback" not in err
 
 
 class TestPerCommandFlags:
