@@ -68,25 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _GivenParser(_Parser):
-    """Parses only what the command line states: no flag has a default or
-    is required, so the namespace holds exactly the flags given, with
-    argparse's prefix abbreviations resolved.  `dests` names the flags
-    added (not --help)."""
-
-    def __init__(self, *args, **kwargs):
-        self.dests = set()
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        if kwargs.get("default") is argparse.SUPPRESS:  # --help
-            return super().add_argument(*args, **kwargs)
-        kwargs.update(default=argparse.SUPPRESS, required=False)
-        action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
-        return action
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -188,9 +169,8 @@ def _write(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_sequence(args) -> tuple:
-    params = tmcore.QuasicrystalParams(args.a, args.b)
     rows = [
-        (n, tmcore.digit_sum(n), tmcore.tm_sign(n), str(tmcore.point(n, params)))
+        (n, tmcore.digit_sum(n), tmcore.tm_sign(n), str(tmcore.point(n, args.params)))
         for n in range(args.limit + 1)
     ]
     return ["n", "digit_sum", "sign", "f"], rows
@@ -202,7 +182,11 @@ def _diffract_worker(params, qs: list, sizes: list) -> list:
     (`diffract.density_at_qs`)."""
     rows = []
     for q, values in zip(qs, diffract.density_at_qs(qs, sizes, params)):
-        q_text, k = str(q), params.wave_vector(q)
+        q_text = str(q)
+        try:
+            k = params.wave_vector(q)
+        except ValueError as exc:  # k beyond the float range
+            raise UsageError(f"q={q_text}: {exc}") from exc
         rows.extend(
             (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
             for l, (nu, al) in zip(sizes, values)
@@ -213,8 +197,7 @@ def _diffract_worker(params, qs: list, sizes: list) -> list:
 def _cmd_diffract(args) -> tuple:
     """All wave vectors in this process; `--jobs` is accepted and ignored,
     since a q costs O(log l) per size and a pool costs more than it saves."""
-    params = tmcore.QuasicrystalParams(args.a, args.b)
-    rows = _diffract_worker(params, _parse_grid(args.grid), _parse_sizes(args.sizes))
+    rows = _diffract_worker(args.params, _parse_grid(args.grid), _parse_sizes(args.sizes))
     return ["q", "k", "l", "density", "alpha_l"], rows
 
 
@@ -225,7 +208,13 @@ def _regime_name(beta: float) -> str:
     return spectrum.growth_regime(alpha).value
 
 
+# `quadfield.dirichlet_l_one` takes p < 2^32, the L-value of each P21 prime
+MAX_PRIME_LIMIT = 1 << 32
+
+
 def _cmd_classify_primes(args) -> tuple:
+    if args.limit > MAX_PRIME_LIMIT:  # refused before the sieve, which would take gigabytes
+        raise UsageError(f"--limit must be at most 2^32 = {MAX_PRIME_LIMIT}")
     rows = []
     for p in quadfield.primes_up_to(args.limit - 1):
         if p == 2:
@@ -244,7 +233,6 @@ def _cmd_classify_primes(args) -> tuple:
 
 
 def _cmd_spectrum(args) -> tuple:
-    params = tmcore.QuasicrystalParams(args.a, args.b)
     rows = []
     for tok in args.q.split(","):
         tok = tok.strip()
@@ -252,8 +240,8 @@ def _cmd_spectrum(args) -> tuple:
             continue
         q = _parse_fraction(tok)
         try:
-            v = spectrum.classify(q, params)
-        except ValueError as exc:  # an odd part above the coset-spectrum limit
+            v = spectrum.classify(q, args.params)
+        except ValueError as exc:  # odd part above the coset-spectrum cap, or k too large
             raise UsageError(f"q={tok}: {exc}") from exc
         rows.append((
             tok, v.t, v.h, v.p, v.kind.value, v.alpha, v.residue_alpha,
@@ -434,93 +422,96 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(cls: type = _Parser, only: str | None = None) -> _Parser:
-    """The tmqc parser with every subcommand, or with the subcommand `only`
-    alone: about 0.4 ms to build against 2.1 ms for all seven on a 2-core
-    Xeon box.  The two
-    parse a command line that invokes `only` alike, since neither the
-    top-level options nor a subcommand's parser depend on the other
-    subcommands."""
-    top = cls(prog="tmqc", description=__doc__,
-              formatter_class=argparse.RawDescriptionHelpFormatter)
+def _build_parser() -> _Parser:
+    """The tmqc parser with all seven subcommands: about 2.1 ms to build on
+    a 2-core Xeon box.  `_parse_args` builds it only to print or refuse a
+    command line that names no subcommand; it is also the reference that
+    the tests hold `_parse_args` to."""
+    top = _Parser(prog="tmqc", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--config", help="JSON file mirroring flags; flags override")
     sub = top.add_subparsers(dest="command", required=True)
-    top.commands = sub.choices
     for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        if only is None or name == only:
-            p = sub.add_parser(name, help=help_text)
-            _common(p)
-            add_flags(p)
+        p = sub.add_parser(name, help=help_text)
+        _common(p)
+        add_flags(p)
     return top
 
 
-def _invoked_command(argv: list) -> str | None:
-    """The subcommand the top-level parser would dispatch argv to, read by a
-    parser with the same top-level options and a positional that takes the
-    command and everything after it.  None where the answer needs every
-    subcommand: help before the command, no command, an unknown one, or a
-    malformed top-level option."""
-    top = _Parser(add_help=False)
-    top.add_argument("-h", "--help", action="store_true")
-    top.add_argument("--config")
-    top.add_argument("command", nargs=argparse.PARSER)
-    try:
-        ns = top.parse_known_args(argv)[0]
-    except UsageError:
-        return None
-    if ns.help or ns.command[0] not in _SUBCOMMANDS:
-        return None
-    return ns.command[0]
-
-
-def _config_path(argv: list) -> str | None:
-    """The --config value, read without building the subcommands' parsers
-    (which costs milliseconds); the full parse checks its placement."""
-    top = _Parser(add_help=False)
-    top.add_argument("--config")
-    return top.parse_known_args(argv)[0].config
+def _command_parser(name: str) -> _Parser:
+    """The parser of subcommand `name` alone, as `_build_parser` makes it
+    (about 0.4 ms to build)."""
+    p = _Parser(prog=f"tmqc {name}")
+    _common(p)
+    _SUBCOMMANDS[name][1](p)
+    return p
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """The command line, with the JSON config (if any) filling the flags it
-    does not give, required flags included.
+    """The command line, read by two parsers: a head parser with the
+    top-level options and a positional that takes the subcommand and
+    everything after it, then that subcommand's own parser.  A line whose
+    head names no subcommand (help before the command, no command, an
+    unknown one, a malformed top-level option) goes to the full parser,
+    which prints or refuses it.
 
-    Config values go back through the parser as flag tokens, so each one
-    meets its flag's own type and choices; a value that is not a string or
-    a number is refused.  Keys that name no flag of the subcommand are
-    ignored, so one config can serve several subcommands.
+    A JSON config (`--config`) gives each key that names a flag of the
+    subcommand as a `--flag=value` token before the command line's own
+    flags.  argparse keeps a flag's last value, so the command line wins;
+    a config may supply a required flag, and each value meets its flag's
+    type and choices.  A value that is not a string or a number is
+    refused, a parse error of a config run names the config, and keys of
+    other subcommands are ignored, so one config can serve several.
     """
-    config = _config_path(argv)
-    command = _invoked_command(argv)
-    if not config:
-        return _build_parser(only=command).parse_args(argv)
+    head = _Parser(add_help=False)
+    head.add_argument("-h", "--help", action="store_true")
+    head.add_argument("--config")
+    head.add_argument("command", nargs=argparse.PARSER)
+    try:
+        ns = head.parse_args(argv)
+    except UsageError:
+        ns = None
+    if ns is None or ns.help or ns.command[0] not in _SUBCOMMANDS:
+        return _build_parser().parse_args(argv)
+    name, *flags = ns.command
+    parser = _command_parser(name)
+    if ns.config:
+        flags = _config_tokens(ns.config, parser) + flags
+    try:
+        args = parser.parse_args(flags)
+    except UsageError as exc:
+        if not ns.config:
+            raise
+        raise UsageError(f"config {ns.config!r}: {exc}") from exc
+    args.command = name
+    return args
+
+
+def _config_tokens(path: str, parser: _Parser) -> list:
+    """`--flag=value` for each key of the JSON config at `path` that names
+    a flag of `parser`."""
     import json  # on demand, as in `_emit`
 
-    given_parser = _build_parser(_GivenParser, only=command)
-    given = given_parser.parse_args(argv)
     try:
-        with open(config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {config!r}: {exc}") from exc
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError("config must be a JSON object of flag values")
-    flags = given_parser.commands[given.command].dests
-    extra = []
+    dests = {action.dest for action in parser._actions} - {"help"}
+    tokens = []
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if attr not in flags or hasattr(given, attr):
+        if attr not in dests:
             continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(
                 f"config value for {key!r} must be a string or a number, "
                 f"not {json.dumps(value)}"
             )
-        extra.append(f"--{attr}={value}")
-    try:
-        return _build_parser(only=command).parse_args(argv + extra)
-    except UsageError as exc:
-        raise UsageError(f"config {config!r}: {exc}") from exc
+        tokens.append(f"--{attr}={value}")
+    return tokens
 
 
 def main(argv: list | None = None) -> int:
@@ -528,10 +519,11 @@ def main(argv: list | None = None) -> int:
     try:
         args = _parse_args(argv)
         if hasattr(args, "a"):
-            args.a = _parse_fraction(str(args.a))
-            args.b = _parse_fraction(str(args.b))
-            if not 0 < args.b < args.a:
-                raise UsageError("tile lengths must satisfy 0 < b < a")
+            try:
+                args.params = tmcore.QuasicrystalParams(
+                    _parse_fraction(args.a), _parse_fraction(args.b))
+            except ValueError as exc:  # b >= a, or a + b beyond the float range
+                raise UsageError(f"--a {args.a} --b {args.b}: {exc}") from exc
         table = _SUBCOMMANDS[args.command][2](args)
         if isinstance(table, str):
             _write(table, args.out)

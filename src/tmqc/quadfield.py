@@ -326,7 +326,8 @@ def residue_beta(rec: PrimeClassRecord, t: int) -> float:
 def prime_record(p: int) -> PrimeClassRecord:
     """Full record: class, exponent and (for P21) field invariants, with h
     from `class_number`.  beta is log p / ((p-1) log 2) for P1 and P23 and
-    (log p + 2 h log eps) / ((p-1) log 2) for P21; Other primes get None."""
+    (log p + 2 h log eps) / ((p-1) log 2) for P21; Other primes get None.
+    A P21 lambda1 = sqrt(p) eps^h beyond the float range reads inf."""
     s = order_of_two(p)
     cls = _class_of(p, s)
     if cls is PrimeClass.P1:
@@ -338,7 +339,10 @@ def prime_record(p: int) -> PrimeClassRecord:
         h = class_number(p)
         eps = fundamental_unit(p)
         reg = eps.log_value()
-        lam1 = math.exp(h * reg) * math.sqrt(p)
+        try:
+            lam1 = math.exp(h * reg) * math.sqrt(p)
+        except OverflowError:  # h log eps above about 709, first at p = 99961
+            lam1 = math.inf
         lam2 = math.exp(-h * reg) * math.sqrt(p)
         beta = (math.log(p) + 2.0 * h * reg) / ((p - 1) * _LOG2)
         return PrimeClassRecord(p, s, cls, beta, lam1, lam2, h, eps, reg)

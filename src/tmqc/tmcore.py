@@ -13,6 +13,7 @@ the diffraction-evaluation boundary (see `diffract`).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -83,7 +84,8 @@ class _Frozen:
 
 
 class QuasicrystalParams(_Frozen):
-    """Tile lengths (a, b) as exact rationals with 0 < b < a.
+    """Tile lengths (a, b) as exact rationals with 0 < b < a and
+    2^-1020 <= a + b <= 2^1022.
 
     Derived constants: alpha1 = (a+b)/2 (mean tile), alpha0 = -(a-b)/2 and
     alpha2 = 2(a-b) (the modulation amplitude entering the Fourier
@@ -100,6 +102,9 @@ class QuasicrystalParams(_Frozen):
         a, b = Fraction(a), Fraction(b)
         if not (0 < b < a):
             raise ValueError("tile lengths must satisfy 0 < b < a")
+        # then a + b, 2(a - b) and 4 pi/(a + b) are all finite floats
+        if not 2.0**-1020 <= a + b <= 2.0**1022:
+            raise ValueError("tile lengths must keep a + b in the float range, 2^-1020 to 2^1022")
         den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
         ai, bi = int(a * den), int(b * den)
         init = object.__setattr__
@@ -135,8 +140,15 @@ class QuasicrystalParams(_Frozen):
         return 2 * (self.a - self.b)
 
     def wave_vector(self, q: Fraction | float) -> float:
-        """Physical wave vector k = (4*pi/(a+b)) * q."""
-        return self._k_per_q * float(q)
+        """Physical wave vector k = (4*pi/(a+b)) * q; ValueError where k
+        is beyond the float range."""
+        try:
+            k = self._k_per_q * float(q)
+        except OverflowError:
+            k = math.inf
+        if not math.isfinite(k):
+            raise ValueError("wave vector k = 4 pi q/(a+b) is beyond the float range")
+        return k
 
 
 def gab(a: int, b: int) -> int:

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import argparse
 import cmath
 import contextlib
 import csv
@@ -57,6 +58,23 @@ class TestSequence:
     def test_tile_ordering_enforced(self, capsys):
         code, _, err = run_cli(["sequence", "--a", "1", "--b", "2"], capsys)
         assert code == 1
+
+    _BEYOND_THE_FLOAT_RANGE = [
+        (["sequence", "--a", "1e400"], "--a 1e400 --b 1"),
+        (["spectrum", "--q", "1/3", "--a", "3e-400", "--b", "1e-400"], "--a 3e-400 --b 1e-400"),
+        (["diffract", "--grid", "1/3", "--sizes", "8", "--a", "2e308"], "--a 2e308 --b 1"),
+        (["spectrum", "--q", "1/3,1e400"], "q=1e400"),
+        (["spectrum", "--q", "-2e308"], "q=-2e308"),
+        (["diffract", "--grid", "1e400", "--sizes", "8"], "q=1" + "0" * 400),
+    ]
+
+    @pytest.mark.parametrize("argv, value", _BEYOND_THE_FLOAT_RANGE,
+                             ids=[" ".join(argv) for argv, _ in _BEYOND_THE_FLOAT_RANGE])
+    def test_beyond_the_float_range_is_usage_error(self, capsys, argv, value):
+        # were exit 2: a float of a + b or of q overflowed, or 4 pi/(a + b) divided by 0
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {value}: ") and "float range" in err
 
 
 class TestDeterminism:
@@ -214,6 +232,17 @@ class TestClassifyPrimes:
         assert rows[7]["regime"] == "size-decreasing"
         assert rows[43]["class"] == "Other"
 
+    def test_limit_above_2_32_is_refused_before_the_sieve(self, capsys, monkeypatch):
+        from tmqc import quadfield
+
+        def no_sieve(n):
+            raise AssertionError(f"sieved up to {n}")
+
+        monkeypatch.setattr(quadfield, "primes_up_to", no_sieve)
+        code, out, err = run_cli(["classify-primes", "--limit", "4294967297"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --limit must be at most 2^32 = 4294967296\n"
+
 
 class TestSpectrumCommand:
     def test_verdicts(self, capsys):
@@ -279,6 +308,14 @@ class TestSpectrumCommand:
         for row in parse_csv(out)[1]:
             assert row["kind"] == "SingularContinuous"
             assert -1.1 < float(row["residue_alpha"]) < -0.9
+
+    def test_p21_prime_with_lambda1_beyond_the_float_range(self, capsys):
+        # was exit 2, "math range error", from sqrt(p) eps^h at p = 99961
+        code, out, err = run_cli(["spectrum", "--q", "1/99961,3/99961"], capsys)
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)[1]
+        assert [(r["p"], r["kind"], r["source"]) for r in rows] == [
+            ("99961", "SingularContinuous", "closed-form")] * 2
 
     def test_prime_above_the_cap_is_usage_error(self, capsys):
         start = time.perf_counter()
@@ -841,10 +878,51 @@ _SUBCOMMAND_ARGVS = [
 ]
 
 
+def _leading_config(argv):
+    """(path, subcommand, rest) for a command line that opens with a config
+    option (--config X, or --config=X and its abbreviations) followed by a
+    subcommand's name; None for any other."""
+    first, *tail = argv or [""]
+    if first == "--config" and tail:
+        path, tail = tail[0], tail[1:]
+    elif first.startswith("--conf") and "=" in first:
+        path = first.split("=", 1)[1]
+    else:
+        return None
+    if tail and tail[0] in cli._SUBCOMMANDS:
+        return path, tail[0], tail[1:]
+    return None
+
+
+def _reference_parse(argv):
+    """argv read by the full seven-subcommand parser.  A leading config is
+    spelled out: each of its keys that names a flag of the subcommand
+    becomes a --flag=value token right after the subcommand's name, and a
+    parse error of that line names the config."""
+    full = cli._build_parser()
+    config = _leading_config(argv)
+    if config is None:
+        return full.parse_args(argv)
+    path, name, rest = config
+    try:
+        with open(path, encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except OSError as exc:
+        raise cli.UsageError(f"cannot read config {path!r}: {exc}") from exc
+    (subparsers,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = subparsers.choices[name]._option_string_actions
+    tokens = [f"--{key}={value}" for key, value in conf.items() if f"--{key}" in flags]
+    try:
+        return full.parse_args([name] + tokens + rest)
+    except cli.UsageError as exc:
+        raise cli.UsageError(f"config {path!r}: {exc}") from exc
+
+
 class TestLazyParser:
-    """Building only the invoked subcommand's parser changes nothing a user
-    sees: help, usage errors, exit codes and output equal the full parser's,
-    byte for byte."""
+    """Reading a command line with a head parser and the invoked
+    subcommand's parser changes nothing a user sees: help, usage errors,
+    exit codes and output equal the full parser's, byte for byte, with a
+    leading config read as the flags it mirrors."""
 
     @pytest.mark.parametrize("argv", _TOP_LEVEL_ARGVS + _SUBCOMMAND_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv, tmp_path, monkeypatch):
@@ -852,24 +930,85 @@ class TestLazyParser:
         conf.write_text(json.dumps(_CONFIG))
         argv = [a.replace("MISSING", str(tmp_path / "missing.json"))
                 .replace("CONF", str(conf)) for a in argv]
-        lazy = _main_outcome(argv)
-        monkeypatch.setattr(cli, "_invoked_command", lambda argv: None)
-        assert _main_outcome(argv) == lazy
+        outcome = _main_outcome(argv)
+        monkeypatch.setattr(cli, "_parse_args", _reference_parse)
+        assert _main_outcome(argv) == outcome
 
     def test_builds_one_subcommand(self, monkeypatch, capsys, tmp_path):
-        built = []
-        real = cli._build_parser
+        """A command line builds two parsers, the head and the invoked
+        subcommand's, and the full parser only where the head names no
+        subcommand."""
+        built, full = [], []
+        real_init, real_build = cli._Parser.__init__, cli._build_parser
 
-        def recording(*args, **kwargs):
-            parser = real(*args, **kwargs)
-            built.append(sorted(parser.commands))
-            return parser
+        def recording_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_build_parser", recording)
-        assert run_cli(["spectrum", "--q", "1/3"], capsys)[0] == 0
+        def recording_build():
+            full.append(True)
+            return real_build()
+
+        monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+        monkeypatch.setattr(cli, "_build_parser", recording_build)
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps({"limit": 1}))
-        assert run_cli(["--config", str(conf), "sequence"], capsys)[0] == 0
-        assert built == [["spectrum"], ["sequence"], ["sequence"]]
-        for argv in (["-h"], [], ["frobnicate"], ["--config"]):
-            assert cli._invoked_command(argv) is None
+        for argv, name in ((["spectrum", "--q", "1/3"], "spectrum"),
+                           (["--config", str(conf), "sequence"], "sequence")):
+            built.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert built == [None, f"tmqc {name}"]
+        assert full == []
+        assert run_cli(["frobnicate"], capsys)[0] == 1
+        assert full == [True]
+
+
+class TestConfigChanges:
+    """Where a config run differs from the parse before config values were
+    read as leading flag tokens: the config is read, and its values
+    checked, before the command line's own flags."""
+
+    def _run(self, capsys, tmp_path, conf, argv):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(conf))
+        return (str(path),) + run_cli(["--config", str(path)] + argv, capsys)
+
+    def test_bad_value_is_refused_where_the_line_gives_the_flag(self, capsys, tmp_path):
+        path, code, out, err = self._run(
+            capsys, tmp_path, {"limit": "x"}, ["sequence", "--limit", "2"])
+        assert (code, out) == (1, "")
+        assert err == f"error: config {path!r}: argument --limit: invalid int value: 'x'\n"
+        _, code, out, err = self._run(
+            capsys, tmp_path, {"sizes": [8]}, ["diffract", "--grid", "1/3", "--sizes", "8"])
+        assert (code, out) == (1, "")
+        assert err == "error: config value for 'sizes' must be a string or a number, not [8]\n"
+
+    def test_parse_errors_name_the_config(self, capsys, tmp_path):
+        path, code, out, err = self._run(capsys, tmp_path, {"limit": 2}, ["sequence", "--nope"])
+        assert (code, out, err) == (1, "", f"error: config {path!r}: unrecognized arguments: --nope\n")
+        path, code, out, err = self._run(capsys, tmp_path, {}, ["spectrum"])
+        assert (code, out) == (1, "")
+        assert err == f"error: config {path!r}: the following arguments are required: --q\n"
+
+    @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+    def test_help_after_the_command_is_the_commands_help(self, capsys, tmp_path, name):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(_CONFIG))
+        with_config = _main_outcome(["--config", str(conf), name, "-h"])
+        assert with_config == _main_outcome([name, "-h"])
+        assert with_config[0] == ("SystemExit", 0)
+
+    def test_config_after_the_command_is_the_commands_error(self, capsys, tmp_path):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(_CONFIG))
+        code, out, err = run_cli(["spectrum", "--config", str(conf)], capsys)
+        assert (code, out, err) == (1, "", "error: the following arguments are required: --q\n")
+        code, out, err = run_cli(["sequence", "--config", str(conf)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: --config {conf}\n"
+
+    def test_unreadable_config_comes_before_the_line(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run_cli(["--config", path, "sequence", "--nope"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config {path!r}: ")

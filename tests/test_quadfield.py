@@ -225,6 +225,30 @@ class TestBetaForClass:
             assert beta > math.log(p) / ((p - 1) * LOG2)
 
 
+class TestLambda1BeyondTheFloatRange:
+    """At p = 99961, the first P21 prime with h log eps above about 709,
+    lambda1 = sqrt(p) eps^h leaves the float range; the exponents do not."""
+
+    P = 99961
+
+    def test_lambda1_reads_inf_and_beta_is_the_coset_spectrum_value(self):
+        rec = prime_record(self.P)
+        assert rec.cls.value == "P21" and rec.h * rec.regulator > 709.8
+        assert rec.lambda1 == math.inf and 0.0 < rec.lambda2 < 1e-300
+        assert abs(rec.beta - rareclass.scaling_exponents(self.P).beta) < 1e-12
+
+    def test_residue_beta_matches_the_orbit_sum(self):
+        rec = prime_record(self.P)
+        # 2 is a residue mod p, since <2> is the subgroup of quadratic residues
+        nonresidue = next(
+            t for t in range(3, self.P) if quadfield.quadratic_character(t, self.P) == -1)
+        for t in (2, nonresidue):
+            expected = rareclass.residue_exponent(self.P, t)
+            assert residue_beta(rec, t) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert residue_beta(rec, nonresidue) == rec.beta
+        assert residue_beta(rec, 2) < 0.0 < rec.beta
+
+
 class TestCrossConsistency:
     def test_lambda1_matches_transfer_spectrum(self):
         for p in (17, 41, 97, 137, 193):

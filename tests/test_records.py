@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 import pickle
 from fractions import Fraction
 
@@ -86,6 +87,19 @@ class TestQuasicrystalParams:
     def test_refuses_b_not_below_a(self, a, b):
         with pytest.raises(ValueError, match="0 < b < a"):
             QuasicrystalParams(a, b)
+
+    @pytest.mark.parametrize("a, b", [(Fraction(10**400), 1), (2**1022, 1),
+                                      (Fraction(2, 10**400), Fraction(1, 10**400))])
+    def test_refuses_tiles_beyond_the_float_range(self, a, b):
+        with pytest.raises(ValueError, match="a \\+ b in the float range"):
+            QuasicrystalParams(a, b)
+
+    def test_refuses_wave_vectors_beyond_the_float_range(self):
+        p = QuasicrystalParams(2, 1)
+        assert p.wave_vector(Fraction(10**300)) == 4.0 * math.pi / 3.0 * 1e300
+        for q in (Fraction(10**400), Fraction(-(10**308)), 1e308, math.inf):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                p.wave_vector(q)
 
     def test_pickles_and_copies(self):
         p = QuasicrystalParams(Fraction(3, 2), Fraction(1, 3))
