@@ -164,8 +164,8 @@ def _write(text: str, out_path: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (columns, rows), a row being a tuple in column
-# order, for `_emit`; `profile` and `rarefy` return their finished text
-# instead
+# order, for `_emit`; `diffract`, `profile` and `rarefy` return their
+# finished text instead
 # ---------------------------------------------------------------------------
 
 def _cmd_sequence(args) -> tuple:
@@ -182,11 +182,11 @@ def _diffract_worker(params, qs: list, sizes: list) -> list:
     (`diffract.density_at_qs`)."""
     rows = []
     for q, values in zip(qs, diffract.density_at_qs(qs, sizes, params)):
-        q_text = str(q)
         try:
             k = params.wave_vector(q)
         except ValueError as exc:  # k beyond the float range
-            raise UsageError(f"q={q_text}: {exc}") from exc
+            raise UsageError(f"q={tmcore.number_text(q)}: {exc}") from exc
+        q_text = str(q)
         rows.extend(
             (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
             for l, (nu, al) in zip(sizes, values)
@@ -194,11 +194,27 @@ def _diffract_worker(params, qs: list, sizes: list) -> list:
     return rows
 
 
-def _cmd_diffract(args) -> tuple:
-    """All wave vectors in this process; `--jobs` is accepted and ignored,
-    since a q costs O(log l) per size and a pool costs more than it saves."""
+def _cmd_diffract(args) -> str:
+    """All wave vectors in this process (`--jobs` is accepted and ignored,
+    since a q costs O(log l) per size and a pool costs more than it saves),
+    in the bytes `_emit` would write.  A row is one f-string: q and the
+    density are texts that neither format escapes (a rational and a
+    `_fmt_density`), k is a finite float, l an int and alpha_l a finite
+    float or missing, so the cells between the values are fixed per
+    format."""
     rows = _diffract_worker(args.params, _parse_grid(args.grid), _parse_sizes(args.sizes))
-    return ["q", "k", "l", "density", "alpha_l"], rows
+    if args.format == "csv":
+        q_, k_, l_, nu_, al_, null = "", ",", ",", ",", ",", ""
+    else:  # a line is a record body for `_json_records`; q and density are JSON strings
+        q_, k_, l_ = '"q": "', '",\n    "k": ', ',\n    "l": '
+        nu_, al_, null = ',\n    "density": "', '",\n    "alpha_l": ', "null"
+    lines = [
+        f"{q_}{q}{k_}{k!r}{l_}{l}{nu_}{nu}{al_}{null if al is None else repr(al)}"
+        for q, k, l, nu, al in rows
+    ]
+    if args.format == "csv":
+        return "\n".join(["q,k,l,density,alpha_l", *lines, ""])
+    return _json_records(lines) if lines else "[]\n"
 
 
 def _regime_name(beta: float) -> str:

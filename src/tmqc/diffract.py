@@ -14,7 +14,9 @@ eta_m z^m, z = exp(-i k (a+b)); both split over the binary blocks of L into
 products over its digits, so a density costs O(log l) operations instead of
 an l-term scan.  One walk core (`_walk_core`) serves every unit-weight
 quantity: it builds the products on the exact frac(2q), shared by every q
-with the same frac(2q), and every phase is reduced on integers first.  A
+with the same frac(2q), and every phase is reduced on integers first.  The
+doubling orbits of a grid's tables meet, so one call computes each sine of
+them once, and each walk is turned into floats once for all its q.  A
 float wave vector k takes the same route at q = k(a+b)/(4 pi), rounded
 once to a float.  Weighted combs keep the vectorized scan.
 
@@ -169,7 +171,9 @@ def density_at_qs(qs: Sequence, sizes: Sequence[int], params: QuasicrystalParams
     product entry of the table.
 
     The walks come from `_walk_core`, shared by the q with the same
-    frac(2q).  cos kd and sin kd come from the integer numerator of
+    frac(2q), and carry G_L and T_L as complex values and log l, so with
+    1 + w cos kd and i w sin kd formed once per q a row costs a few float
+    operations.  cos kd and sin kd come from the integer numerator of
     frac(q (a-b)/(a+b)), so every phase is exact at every size.  alpha_l
     is -inf where S_l vanishes and None at l = 1; a density beyond the
     float range raises ValueError.  A float q is exact too, but stands
@@ -184,26 +188,23 @@ def density_at_qs(qs: Sequence, sizes: Sequence[int], params: QuasicrystalParams
         (s, f), c = _sin_cos_pi(r, den)
         s = math.ldexp(s, f)
         cos_kd, sin_kd = (c - s) * (c + s), 2.0 * s * c  # exactly 0 where they vanish
+        g_factor, t_factor = 1.0 + w * cos_kd, 1j * w * sin_kd
         values = []
         for walk in walks:
-            l = walk[0]
+            l, log_l, sums, _, z_half, eta = walk
+            if sums is None:
+                raise ValueError(f"nu_l at l = {l} exceeds the float range")
+            total = g_factor * sums[0] - t_factor * sums[1] - 1.0 + z_half
+            if l % 2:  # n = l = 2L + 1: f(l) = L(a+b) + c + d eta_L
+                total += z_half * w * complex(cos_kd, -eta * sin_kd)
             try:
-                nu = _density(walk, w, cos_kd, sin_kd)
+                nu = abs(total) ** 2 / l
             except OverflowError:
                 raise ValueError(f"nu_l at l = {l} exceeds the float range") from None
-            alpha = None if l == 1 else _exponent(_sign_sum(walk, one_minus_w), l)
+            alpha = None if l == 1 else _exponent(_sign_sum(walk, one_minus_w), log_l)
             values.append((nu, alpha))
         out.append(values)
     return out
-
-
-def _density(walk: tuple, w: complex, cos_kd: float, sin_kd: float) -> float:
-    """nu_l from a `_walk_core` walk, with w = e^{-ikc} (see `density_at_qs`)."""
-    l, g, t, z_half, eta = walk
-    total = (1.0 + w * cos_kd) * _unscale(g) - 1j * w * sin_kd * _unscale(t) - 1.0 + z_half
-    if l % 2:  # n = l = 2L + 1: f(l) = L(a+b) + c + d eta_L
-        total += z_half * w * complex(cos_kd, -eta * sin_kd)
-    return abs(total) ** 2 / l
 
 
 def _weighted_density_scan(k, sizes, params, weights) -> np.ndarray:
@@ -316,6 +317,15 @@ def _sin_cos_pi(r: int, den: int) -> tuple:
     return (s, 0), c
 
 
+def _factors(r: int, den: int) -> tuple:
+    """The per-bit factors of `_block_table` at psi = r/den in
+    (-1/2, 1/2], theta = pi psi: (e^{-i theta}, e^{-2 i theta}, 2 cos theta,
+    2i s, f) with sin theta = s 2^f (`_sin_cos_pi`)."""
+    (s, f), c = _sin_cos_pi(r, den)
+    rot = complex(c, -math.ldexp(s, f))  # e^{-i theta}
+    return rot, rot * rot, 2.0 * c, 2j * s, f
+
+
 def _turn(num: int, den: int) -> tuple:
     """(w, 1 - w) for w = e^{-2 pi i x}, x = num/den, from the exact frac(x);
     1 - w is a (mantissa, exponent) pair: 2i sin(theta) e^{-i theta} with
@@ -323,12 +333,11 @@ def _turn(num: int, den: int) -> tuple:
     first, so it is 0 only at integer x and keeps its relative precision
     where frac(x) is tiny."""
     (r,), den = _orbit(num, den, 1)
-    (s, f), c = _sin_cos_pi(r, den)
-    rot = complex(c, -math.ldexp(s, f))
-    return rot * rot, _rescale(2j * s * rot, f)
+    rot, w, _, two_i_s, f = _factors(r, den)
+    return w, _rescale(two_i_s * rot, f)
 
 
-def _block_table(num: int, den: int, top: int) -> tuple:
+def _block_table(num: int, den: int, top: int, sines: dict) -> tuple:
     """The per-frequency part of the block sums for z = e^{-2 pi i x},
     x = num/den, bits 0..top: (prod_g, prod_t, steps).
 
@@ -341,19 +350,46 @@ def _block_table(num: int, den: int, top: int) -> tuple:
     vanishes (z^{2^i} = -1 for G, z^{2^i} = 1 for T).  Every entry depends
     only on the lower bits, so one table built up to the top bit of the
     largest L serves every smaller L unchanged (`_walk_blocks`).
+
+    `sines` maps each r met so far to `_factors(r, den)` and is filled
+    here: the tables of one `_walk_core` call at the same den pass the same
+    dict, so orbits that meet compute each sine once.  A product is
+    rescaled to 1/2 <= |m| < 1 in place; `_rescale` takes only a subnormal
+    |m|.
     """
     nums, den = _orbit(num, den, top + 1)
-    prod_g, prod_t = [(1 + 0j, 0)], [(1 + 0j, 0)]  # products over i < j
+    frexp, ldexp = math.frexp, math.ldexp
+    gm = tm = 1 + 0j
+    ge = te = 0
+    prod_g, prod_t = [(gm, ge)], [(tm, te)]  # products over i < j
     steps = []  # z^{2^i}
     for i, r in enumerate(nums):  # psi_i = r / den
-        (s, f), c = _sin_cos_pi(r, den)
-        rot = complex(c, -math.ldexp(s, f))  # e^{-i theta}
-        steps.append(rot * rot)
-        if i < top:
-            m, e = prod_g[-1]
-            prod_g.append(_rescale(m * (2.0 * c) * rot, e))
-            m, e = prod_t[-1]
-            prod_t.append(_rescale(m * (2j * s) * rot, e + f))
+        factors = sines.get(r)
+        if factors is None:
+            factors = sines[r] = _factors(r, den)
+        rot, step, two_c, two_i_s, f = factors
+        steps.append(step)
+        if i == top:
+            break
+        gm = gm * two_c * rot
+        if gm:
+            k = frexp(abs(gm))[1]
+            if k < -1000:
+                gm, ge = _rescale(gm, ge)
+            else:
+                gm *= ldexp(1.0, -k)
+                ge += k
+        prod_g.append((gm, ge))
+        tm = tm * two_i_s * rot
+        te += f
+        if tm:
+            k = frexp(abs(tm))[1]
+            if k < -1000:
+                tm, te = _rescale(tm, te)
+            else:
+                tm *= ldexp(1.0, -k)
+                te += k
+        prod_t.append((tm, te))
     return prod_g, prod_t, steps
 
 
@@ -365,26 +401,46 @@ def _walk_blocks(table: tuple, big_l: int) -> tuple:
     bits of L) contributes z^o prod_g[j] to G_L and eta_o z^o prod_t[j] to
     T_L; past the last block the offset is L.  G_L and T_L are
     (mantissa, exponent) pairs, value = mantissa * 2^exponent, so no L
-    overflows or underflows.
+    overflows or underflows; each block is added as `_add_scaled` adds it.
     """
     prod_g, prod_t, steps = table
-    g = t = (0j, 0)
+    ldexp = math.ldexp
+    gm = tm = 0j
+    ge = te = 0
     z_off, eta_off = 1 + 0j, 1  # z^o and eta_o at the current block's offset
-    for j in range(big_l.bit_length() - 1, -1, -1):
-        if big_l >> j & 1:
+    rest, j = big_l, big_l.bit_length()  # the blocks still to add lie below bit j
+    while rest:
+        j -= 1
+        if rest >> j & 1:
+            rest ^= 1 << j
             m, e = prod_g[j]
-            g = _add_scaled(g, (z_off * m, e))
+            m = z_off * m
+            if m:
+                if not gm:
+                    gm, ge = m, e
+                elif ge < e:
+                    gm, ge = m + gm * ldexp(1.0, ge - e), e
+                else:
+                    gm += m * ldexp(1.0, e - ge)
             m, e = prod_t[j]
-            t = _add_scaled(t, (eta_off * z_off * m, e))
+            m = eta_off * z_off * m
+            if m:
+                if not tm:
+                    tm, te = m, e
+                elif te < e:
+                    tm, te = m + tm * ldexp(1.0, te - e), e
+                else:
+                    tm += m * ldexp(1.0, e - te)
             z_off *= steps[j]
             eta_off = -eta_off
-    return g, t, z_off, eta_off
+    return (gm, ge), (tm, te), z_off, eta_off
 
 
 def _block_sums(x, big_l: int) -> tuple:
     """G_L = sum_{m<L} z^m and T_L = sum_{m<L} eta_m z^m for z = e^{-2 pi i x},
     L >= 1, in O(log L) operations; returns (G_L, T_L, z^L)."""
-    return _walk_blocks(_block_table(*x.as_integer_ratio(), big_l.bit_length() - 1), big_l)[:3]
+    table = _block_table(*x.as_integer_ratio(), big_l.bit_length() - 1, {})
+    return _walk_blocks(table, big_l)[:3]
 
 
 def _checked_sizes(sizes: Sequence[int], least: int = 1) -> list:
@@ -398,14 +454,23 @@ def _checked_sizes(sizes: Sequence[int], least: int = 1) -> list:
 def _walk_core(xs: Sequence, sizes: Sequence[int], least: int = 1) -> list:
     """The unit-weight route: for each frequency x of `xs`, in order,
     ((t, d), (w, 1 - w), walks), with x = t/d in lowest terms, w and 1 - w
-    from `_turn`, and one walk (l, G_L, T_L, z^L, eta_L) at L = floor(l/2)
-    for each size l, in caller order, on the table at z = e^{-2 pi i (2x)}.
+    from `_turn`, and one walk per size l, in caller order, on the table at
+    z = e^{-2 pi i (2x)}:
+
+        (l, log l, (G_L, T_L) as complex values, T_L as a (mantissa,
+        exponent) pair, z^L, eta_L),   L = floor(l/2),
+
+    where the complex pair is None if G_L or T_L is beyond the float range.
 
     Frequencies that agree mod 1/2 share one `_block_table`, built up to
     the top bit of the largest L and keyed on frac(2x) in lowest terms as
-    an integer pair, and one list of walks.  A float x carries only 53 bits
-    of its doubling orbit, so a float among `xs` is refused from
-    l = 2^53 on; Fractions and ints are exact at every size.
+    an integer pair, and one list of walks.  The tables at one denominator
+    share one dict of sines (`_factors` by orbit numerator), made for this
+    call and dropped with it: a grid's doubling orbits meet, so the 128
+    tables of 14 bits of `--grid 1/3:1/256:257` need 263 sines, not 1792.
+    A float x carries only 53 bits of its doubling orbit, so a float among
+    `xs` is refused from l = 2^53 on; Fractions and ints are exact at
+    every size.
     """
     ratios = [Fraction(x).as_integer_ratio() for x in xs]
     sizes = _checked_sizes(sizes, least)
@@ -416,14 +481,23 @@ def _walk_core(xs: Sequence, sizes: Sequence[int], least: int = 1) -> list:
             "bits of a float hold (float frequencies need l < 2^53); pass a Fraction"
         )
     top = (largest // 2).bit_length() - 1
+    logs = [math.log(l) for l in sizes]
+    sines = {}  # den -> {r: _factors(r, den)}, shared by the tables at den
     walks = {}  # (num mod den, den) of frac(2x) -> the walks of its table
     out = []
     for t, d in ratios:
         key = (t % (d >> 1), d >> 1) if d % 2 == 0 else (2 * t % d, d)
         size_walks = walks.get(key)
         if size_walks is None:
-            table = _block_table(*key, top)
-            size_walks = walks[key] = [(l, *_walk_blocks(table, l // 2)) for l in sizes]
+            table = _block_table(*key, top, sines.setdefault(key[1], {}))
+            size_walks = walks[key] = []
+            for l, log_l in zip(sizes, logs):
+                g, t_pair, z_half, eta = _walk_blocks(table, l // 2)
+                try:
+                    sums = _unscale(g), _unscale(t_pair)
+                except OverflowError:  # |G_L| or |T_L| from 2^1023 on: no density
+                    sums = None
+                size_walks.append((l, log_l, sums, t_pair, z_half, eta))
         out.append(((t, d), _turn(t, d), size_walks))
     return out
 
@@ -433,20 +507,19 @@ def _sign_sum(walk: tuple, one_minus_w: tuple) -> tuple:
     with one_minus_w = 1 - e^{-2 pi i x} (`_turn`):
     S_{2L}(x) = (1 - e^{-2 pi i x}) T_L(2x), and odd l adds the last term
     eta_{2L} e^{-2 pi i 2L x} = eta_L z^L."""
-    l, _, (m, e), z_half, eta = walk
+    l, _, _, (m, e), z_half, eta = walk
     s = (one_minus_w[0] * m, one_minus_w[1] + e)
     if l % 2:
         s = _add_scaled(s, (eta * z_half, 0))
     return s
 
 
-def _exponent(s: tuple, l: int) -> float:
-    """alpha_l from S_l as a (mantissa, exponent) pair: l^{alpha_l} =
-    |S_l|^2 / l, -inf where S_l = 0."""
+def _exponent(s: tuple, log_l: float) -> float:
+    """alpha_l from S_l as a (mantissa, exponent) pair and log l:
+    l^{alpha_l} = |S_l|^2 / l, -inf where S_l = 0."""
     m, e = s
     if m == 0:
         return -math.inf
-    log_l = math.log(l)
     return (2.0 * (math.log(abs(m)) + e * _LOG_2) - log_l) / log_l
 
 
@@ -520,7 +593,7 @@ def scaling_exponents_at_sizes(x, sizes: Sequence[int]) -> list:
     (ValueError beyond).
     """
     ((_, (_, one_minus_w), walks),) = _walk_core([x], sizes, least=2)
-    return [_exponent(_sign_sum(walk, one_minus_w), walk[0]) for walk in walks]
+    return [_exponent(_sign_sum(walk, one_minus_w), walk[1]) for walk in walks]
 
 
 # ---------------------------------------------------------------------------

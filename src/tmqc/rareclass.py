@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .tmcore import _Frozen, sign_array, tm_sign
+from .tmcore import _Frozen, number_text, sign_array, tm_sign
 from .quadfield import PrimeClass, _factorize, classify_prime, is_prime, order_of_two
 
 __all__ = [
@@ -268,7 +268,7 @@ def check_spectrum_size(p: int) -> None:
     test, made before any O(p) work (or factoring p - 1)."""
     if p > MAX_SPECTRUM_P:
         raise ValueError(
-            f"p={p} exceeds the coset-spectrum limit p <= 2^23 = {MAX_SPECTRUM_P}"
+            f"p={number_text(p)} exceeds the coset-spectrum limit p <= 2^23 = {MAX_SPECTRUM_P}"
         )
 
 

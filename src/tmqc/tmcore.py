@@ -177,3 +177,31 @@ def point(n: int, params: QuasicrystalParams) -> Fraction:
     if n % 2 == 0:
         return n * params.alpha1
     return n * params.alpha1 + (params.a - params.b) / 2 * tm_sign(n - 1)
+
+
+_LOG10_2 = math.log10(2.0)
+
+
+def number_text(x: int | Fraction) -> str:
+    """x, an int or a rational, as text for a message: str(x), except that
+    an integer of more than 30 digits, or a numerator or denominator that
+    long, reads as its first and last five digits and its digit count:
+    10^400 is "10000…00000 (401 digits)".  No decimal text of the whole
+    integer is made, so Python's limit of 4300 digits on that conversion
+    does not apply."""
+    x = Fraction(x)
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+    return "/".join(_integer_text(n) for n in parts)
+
+
+def _integer_text(n: int) -> str:
+    m = abs(n)
+    if m < 10 ** 30:
+        return str(n)
+    digits = int((m.bit_length() - 1) * _LOG10_2) + 1  # the count or one less
+    while 10 ** digits <= m:
+        digits += 1
+    while 10 ** (digits - 1) > m:
+        digits -= 1
+    sign = "-" if n < 0 else ""
+    return f"{sign}{m // 10 ** (digits - 5)}…{m % 10 ** 5:05d} ({digits} digits)"

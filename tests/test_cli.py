@@ -65,7 +65,10 @@ class TestSequence:
         (["diffract", "--grid", "1/3", "--sizes", "8", "--a", "2e308"], "--a 2e308 --b 1"),
         (["spectrum", "--q", "1/3,1e400"], "q=1e400"),
         (["spectrum", "--q", "-2e308"], "q=-2e308"),
-        (["diffract", "--grid", "1e400", "--sizes", "8"], "q=1" + "0" * 400),
+        (["diffract", "--grid", "1e400", "--sizes", "8"], "q=10000…00000 (401 digits)"),
+        # the full text of q was a traceback: Python makes no decimal text
+        # of an integer of more than 4300 digits
+        (["diffract", "--grid", "1e5000", "--sizes", "8"], "q=10000…00000 (5001 digits)"),
     ]
 
     @pytest.mark.parametrize("argv, value", _BEYOND_THE_FLOAT_RANGE,
@@ -210,6 +213,28 @@ class TestDiffract:
         _, same, _ = run_cli(["diffract", "--grid=-1/3:1/256:5", "--sizes", "4,5"], capsys)
         assert same == out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid, sizes", [
+        ("0,1/3,1/4,1,3/2", "1,2,7,64,255"),  # l = 1 and exact zeros leave alpha_l out
+        ("-1/3:1/64:65", "1,7,255,4097"),
+        ("1e-300,5/7,-123456789/1000", "5,4611686018427387904"),
+        ("", "4"),
+    ])
+    def test_rows_are_the_reference_rendering(self, capsys, grid, sizes, fmt):
+        columns = ["q", "k", "l", "density", "alpha_l"]
+        rows = cli._diffract_worker(tmcore.QuasicrystalParams(2, 1), cli._parse_grid(grid),
+                                    cli._parse_sizes(sizes))
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+            want = buf.getvalue()
+        else:
+            want = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+        argv = ["diffract", "--grid", grid, "--sizes", sizes, "--format", fmt]
+        assert run_cli(argv, capsys)[:2] == (0, want)
+
     def test_parallel_jobs_match_serial(self, capsys):
         base = ["diffract", "--grid", "0,1/3,1/5,1/7", "--sizes", "128,512"]
         _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
@@ -335,6 +360,15 @@ class TestSpectrumCommand:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert q[2:] in err and str(rareclass.MAX_SPECTRUM_P) in err
+
+    def test_huge_odd_part_is_named_by_its_size(self, capsys):
+        # p = 5^400 was printed in full, 280 digits
+        code, out, err = run_cli(["spectrum", "--q", "1e-400"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: q=1e-400: p=38725…90625 (280 digits) exceeds the coset-spectrum "
+            f"limit p <= 2^23 = {rareclass.MAX_SPECTRUM_P}\n"
+        )
 
     def test_composite_rows(self, capsys):
         code, out, _ = run_cli(["spectrum", "--q", "1/9,4/21,7/45"], capsys)
@@ -572,10 +606,12 @@ class TestRarefy:
 
 
 class TestGoldenBytes:
-    """sha256 of whole `profile`, `rarefy`, `spectrum` and `classify-primes`
-    outputs, pinned so that a change of route keeps every byte."""
+    """sha256 of whole `profile`, `rarefy`, `spectrum`, `classify-primes`
+    and `diffract` outputs, pinned so that a change of route keeps every
+    byte."""
 
     PROFILE = ["--horizon", "48", "--resolution", "512"]
+    GRID_SIZES = "1000,1024,3000,4096,12000,16384"  # the benchmark grid's sizes
     # the 76 wave vectors of the benchmark's verdict pool: every prime class,
     # both P21 cosets, composites, Other primes up to 131071 and a dyadic q
     VERDICTS = ",".join(
@@ -618,6 +654,23 @@ class TestGoldenBytes:
          "50fa0ae47671c9c8061de6f22a736bedefbfb792e9a5dd170630bd99cfdc492c"),
         (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
          "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
+        (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES],
+         "40f6234c4c74a1a00c04fc61784bf7310cd772c858f02bf660ce55b5c4f0d618"),
+        (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES, "--format", "json"],
+         "e0b4080cc940dc057420742c96b8885b0e128f7a266e45b94b16663400781381"),
+        (["diffract", "--grid", "0:1/256:257", "--sizes", GRID_SIZES],
+         "37436664a6e4af58254be59537cae25220d5edeb24d9a6e9e39e31a17ac6de5b"),
+        (["diffract", "--grid", "3/11,1/5", "--sizes", "65537,1048575,16777216"],
+         "64988ae387e41abf72a82aa9f3a2af86b8d5f2adb6e10532675496835bc3bd19"),
+        (["diffract", "--grid", "3/11,1/5", "--sizes", "65537,1048575,16777216",
+          "--format", "json"],
+         "9c2b820678655a18235130d19c3a34789151bc455426a352dfdd96ddce1b78d1"),
+        # odd l and l = 1
+        (["diffract", "--grid", "-1/3:1/64:65", "--sizes", "1,7,255,4097"],
+         "e4db2ac24631ca55c7e8a507a8dbc297d397755324aa1a6ad1d5cf252dedd39b"),
+        # a sine taken as pi psi below the normal range, and exact zeros
+        (["diffract", "--grid", "1e-300,1/2,1,3/2", "--sizes", "5,4611686018427387904"],
+         "7bb839db04a7754a9dc49aefd00bdafc6a61640e68ab7627f49dbcc38995c875"),
     ])
     def test_output_digest(self, argv, digest):
         stdout = io.StringIO()

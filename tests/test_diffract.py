@@ -1,6 +1,7 @@
 """Fourier sums, product identities and Fourier-coefficient machinery."""
 
 import cmath
+import collections
 import math
 from fractions import Fraction
 
@@ -674,6 +675,48 @@ class TestDensityAtQs:
         assert density_at_qs([Fraction(1, 3), Fraction(5, 6)], [], params21) == [[], []]
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             density_at_qs([Fraction(1, 3)], [4, 0], params21)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(params=_tiles(), t=st.integers(-10 ** 4, 10 ** 4), d=st.integers(1, 10 ** 4),
+           k=st.integers(0, 12), count=st.integers(1, 64),
+           sizes=st.lists(st.builds(lambda half, odd: max(1, 2 * half + odd),
+                                    st.integers(0, 1 << 39), st.booleans()),
+                          min_size=1, max_size=6))
+    def test_dyadic_grid_shares_sines_bit_for_bit(self, params, t, d, k, count, sizes):
+        # the tables of a step-1/2^k grid meet on their doubling orbits, so
+        # they read shared sines; one q at a time, each table has its own
+        grid = [Fraction(t, d) + Fraction(i, 1 << k) for i in range(count)]
+        got = density_at_qs(grid, sizes, params)
+        assert repr(got) == repr([density_at_q(q, sizes, params) for q in grid])
+
+    @pytest.mark.parametrize("grid", [
+        [Fraction(1, 3) + Fraction(i, 256) for i in range(257)],  # the benchmark's
+        [Fraction(t, 7) for t in range(-7, 15)],  # turns on the tables' orbits
+        [Fraction(1, 3), Fraction(3, 5), Fraction(5, 6), Fraction(1, 10), Fraction(-1, 12)],
+    ])
+    def test_each_sine_once_per_call(self, monkeypatch, grid):
+        calls = collections.Counter()
+        sin_cos_pi = diffract._sin_cos_pi
+
+        def counted(r, den):
+            calls[r, den] += 1
+            return sin_cos_pi(r, den)
+
+        monkeypatch.setattr(diffract, "_sin_cos_pi", counted)
+        sizes = [1000, 1024, 3000, 4096, 12000, 16384]
+        diffract._walk_core(grid, sizes)
+
+        def centred(num, den):  # frac(num/den) in (-1/2, 1/2], over den
+            r = num % den
+            return (r if 2 * r <= den else r - den), den
+
+        top = (max(sizes) // 2).bit_length() - 1
+        tables = {((2 * q) % 1).as_integer_ratio() for q in grid}
+        orbits = [centred(num << i, den) for num, den in tables for i in range(top + 1)]
+        turns = [centred(*q.as_integer_ratio()) for q in grid]
+        assert calls == collections.Counter(turns) + collections.Counter(set(orbits))
+        if len(grid) == 257:
+            assert (len(orbits), len(set(orbits))) == (128 * 14, 263)
 
 
 _TILES_21 = QuasicrystalParams(Fraction(2), Fraction(1))

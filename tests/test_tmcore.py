@@ -185,3 +185,26 @@ class TestParams:
         assert params21.alpha1 == Fraction(3, 2)
         assert params21.alpha0 == Fraction(-1, 2)
         assert params21.alpha2 == Fraction(2)
+
+
+class TestNumberText:
+    def test_short_numbers_are_str(self):
+        for x in (0, 7, -12, 10 ** 30 - 1, -(10 ** 30 - 1), Fraction(-3, 7), Fraction(10 ** 29, 3)):
+            assert tmcore.number_text(x) == str(x)
+
+    def test_long_integers_give_their_ends_and_digit_count(self):
+        assert tmcore.number_text(10 ** 400) == "10000…00000 (401 digits)"
+        assert tmcore.number_text(5 ** 400) == "38725…90625 (280 digits)"
+        assert tmcore.number_text(-(10 ** 30)) == "-10000…00000 (31 digits)"
+        assert tmcore.number_text(Fraction(-1, 3 ** 100)) == "-1/51537…22001 (48 digits)"
+        assert tmcore.number_text(Fraction(10 ** 40 + 1, 7)) == "10000…00001 (41 digits)/7"
+
+    def test_digit_count_at_every_power_of_ten(self):
+        # 10^d - 1 and 10^d on either side of each count, also past the
+        # 4300 digits Python converts to text
+        for d in list(range(31, 400)) + [4299, 4300, 4301, 20000]:
+            assert tmcore.number_text(10 ** d - 1) == f"99999…99999 ({d} digits)"
+            assert tmcore.number_text(10 ** d) == f"10000…00000 ({d + 1} digits)"
+        n = 2 ** 5000 * 3 + 12345
+        text = str(n)
+        assert tmcore.number_text(n) == f"{text[:5]}…{text[-5:]} ({len(text)} digits)"
