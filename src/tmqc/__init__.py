@@ -9,7 +9,6 @@ from .tmcore import (
     digit_sum,
     tm_sign,
     point,
-    gab,
 )
 from .diffract import (
     fourier_sum,
@@ -28,7 +27,6 @@ from .rareclass import (
     eigenvalues_explicit,
     scaling_exponents,
     fractal_profile,
-    coquet_decompose,
     newman_check,
     positivity_scan,
     grabner_composite,

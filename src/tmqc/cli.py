@@ -186,7 +186,11 @@ def _diffract_worker(params, qs: list, sizes: list) -> list:
             k = params.wave_vector(q)
         except ValueError as exc:  # k beyond the float range
             raise UsageError(f"q={tmcore.number_text(q)}: {exc}") from exc
-        q_text = str(q)
+        try:
+            q_text = str(q)
+        except ValueError as exc:  # Python makes no decimal text past 4300 digits
+            raise UsageError(f"q={tmcore.number_text(q)}: too many digits to write "
+                             "(the limit is 4300)") from exc
         rows.extend(
             (q_text, k, l, _fmt_density(nu), None if al is None or math.isinf(al) else al)
             for l, (nu, al) in zip(sizes, values)

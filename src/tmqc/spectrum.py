@@ -76,9 +76,6 @@ class NormalizedWaveVector(NamedTuple):
     def q(self) -> Fraction:
         return Fraction(self.t, (1 << self.h) * self.p)
 
-    def physical_k(self, params: QuasicrystalParams) -> float:
-        return params.wave_vector(self.q)
-
 
 def normalize_wavevector(q: Fraction) -> NormalizedWaveVector:
     """Split the reduced denominator of q into 2^h times an odd p."""
@@ -143,7 +140,7 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     the headline alpha is positive.
     """
     nwv = normalize_wavevector(Fraction(q))
-    k = nwv.physical_k(params)
+    k = params.wave_vector(nwv.q)
     ke = diffract.kappa_eta_at_q(nwv.q, params)
     # u = 2 q (a - b)/(a + b); |kappa_eta| = sin^2(pi u) vanishes exactly
     # when u is an integer

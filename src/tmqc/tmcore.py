@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "sign_array",
     "signs_of",
     "point",
-    "gab",
 ]
 
 
@@ -89,14 +87,13 @@ class QuasicrystalParams(_Frozen):
 
     Derived constants: alpha1 = (a+b)/2 (mean tile), alpha0 = -(a-b)/2 and
     alpha2 = 2(a-b) (the modulation amplitude entering the Fourier
-    coefficients).  `gab_value` is the rational content of (a-b, a+b):
-    gcd of the numerators over the common denominator, a length.
+    coefficients).
 
     Immutable; equal and hashed by (a, b).
     """
 
     # _k_per_q: 4 pi/(a+b) as a float, the factor of `wave_vector`
-    __slots__ = ("a", "b", "gab_value", "_k_per_q")
+    __slots__ = ("a", "b", "_k_per_q")
 
     def __init__(self, a: Fraction, b: Fraction) -> None:
         a, b = Fraction(a), Fraction(b)
@@ -105,12 +102,9 @@ class QuasicrystalParams(_Frozen):
         # then a + b, 2(a - b) and 4 pi/(a + b) are all finite floats
         if not 2.0**-1020 <= a + b <= 2.0**1022:
             raise ValueError("tile lengths must keep a + b in the float range, 2^-1020 to 2^1022")
-        den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-        ai, bi = int(a * den), int(b * den)
         init = object.__setattr__
         init(self, "a", a)
         init(self, "b", b)
-        init(self, "gab_value", Fraction(gcd(ai - bi, ai + bi), den))
         init(self, "_k_per_q", 4.0 * np.pi / float(a + b))
 
     def __reduce__(self):
@@ -125,7 +119,7 @@ class QuasicrystalParams(_Frozen):
         return hash((self.a, self.b))
 
     def __repr__(self) -> str:
-        return f"QuasicrystalParams(a={self.a!r}, b={self.b!r}, gab_value={self.gab_value!r})"
+        return f"QuasicrystalParams(a={self.a!r}, b={self.b!r})"
 
     @property
     def alpha1(self) -> Fraction:
@@ -149,20 +143,6 @@ class QuasicrystalParams(_Frozen):
         if not math.isfinite(k):
             raise ValueError("wave vector k = 4 pi q/(a+b) is beyond the float range")
         return k
-
-
-def gab(a: int, b: int) -> int:
-    """gcd(a-b, a+b) for coprime integers 0 < b < a.
-
-    Equals 2 when a and b are both odd and 1 when exactly one is even.
-    """
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise TypeError("gab expects integers; clear denominators first")
-    if not 0 < b < a:
-        raise ValueError("need 0 < b < a")
-    if gcd(a, b) != 1:
-        raise ValueError("gab requires gcd(a, b) = 1")
-    return gcd(a - b, a + b)
 
 
 def point(n: int, params: QuasicrystalParams) -> Fraction:

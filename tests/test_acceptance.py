@@ -51,14 +51,16 @@ def test_criterion_01_newman_inequality(record_property):
 
 
 def test_criterion_02_coquet_remainder_and_interval(s3_series_16m):
-    """Coquet split: integer remainder in {0,+-1}; profile samples fill
-    [0.4833, 0.6709] and reach within 2% of both endpoints by n <= 4^12."""
+    """Coquet split: integer remainder in {0,+-1}, exactly -eta_n on odd n and
+    0 on even n; profile samples fill [0.4833, 0.6709] and reach within 2% of
+    both endpoints by n <= 4^12."""
     t0 = time.perf_counter()
     s = s3_series_16m
     # remainder for n <= 1e5, exact integers: eps = 3 S(n) - S(4n)
     n = np.arange(1, 10**5 + 1)
     eps = 3 * s[n - 1] - s[4 * n - 1]
     assert set(np.unique(eps)) <= {-1, 0, 1}
+    assert np.array_equal(eps, np.where(n % 2 == 1, -sign_array(0, 10**5 + 1)[n], 0))
     # reconstruction is bit-exact: S(n) = (S(4n) + eps)/3
     assert np.all((s[4 * n - 1] + eps) % 3 == 0)
     assert np.all((s[4 * n - 1] + eps) // 3 == s[n - 1])

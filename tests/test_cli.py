@@ -71,6 +71,14 @@ class TestSequence:
         (["diffract", "--grid", "1e5000", "--sizes", "8"], "q=10000…00000 (5001 digits)"),
     ]
 
+    def test_q_past_the_digit_limit_is_usage_error(self, capsys):
+        # k is finite, but Python makes no decimal text of 10^5000: that
+        # was a traceback
+        code, out, err = run_cli(["diffract", "--grid", "1e-5000", "--sizes", "8"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: q=1/10000…00000 (5001 digits): too many digits to write " \
+                      "(the limit is 4300)\n"
+
     @pytest.mark.parametrize("argv, value", _BEYOND_THE_FLOAT_RANGE,
                              ids=[" ".join(argv) for argv, _ in _BEYOND_THE_FLOAT_RANGE])
     def test_beyond_the_float_range_is_usage_error(self, capsys, argv, value):
@@ -533,6 +541,26 @@ class TestProfileCommand:
         assert (code, out) == (1, "")
         assert "coset-spectrum limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("p", [3, 7, 17])  # P1, P23, P21
+    def test_closed_form_classes_skip_the_coset_spectrum(self, capsys, monkeypatch, p):
+        def refuse(p):
+            raise AssertionError("coset spectrum read on a closed-form route")
+
+        monkeypatch.setattr(rareclass, "_coset_spectrum", refuse)
+        code, out, err = run_cli(
+            ["profile", "--p", str(p), "--horizon", "20", "--resolution", "16"], capsys)
+        assert (code, err) == (0, "") and out.startswith("x,psi,raw,n\n")
+
+    def test_p21_lambda1_beyond_the_float_range_is_usage_error(self, capsys, monkeypatch):
+        # lambda1 = sqrt(p) eps^h is inf at p = 99961, so the profile scale
+        # lambda1^k is too: refused before the doubling table, which at this
+        # p would take hours (it was "math domain error")
+        monkeypatch.setattr(rareclass, "_doubling_rows", None)
+        code, out, err = run_cli(
+            ["profile", "--p", "99961", "--horizon", "4", "--resolution", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: p=99961: ") and "beyond the float range" in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--horizon", "0"], "horizon"),
         (["--resolution", "0"], "resolution"),
@@ -608,7 +636,8 @@ class TestRarefy:
 class TestGoldenBytes:
     """sha256 of whole `profile`, `rarefy`, `spectrum`, `classify-primes`
     and `diffract` outputs, pinned so that a change of route keeps every
-    byte."""
+    byte.  The `profile` digests at p = 3, 7, 17 and 137 (P1, P23, P21)
+    pin the closed-form exponents; p = 43 (Other) the coset spectrum."""
 
     PROFILE = ["--horizon", "48", "--resolution", "512"]
     GRID_SIZES = "1000,1024,3000,4096,12000,16384"  # the benchmark grid's sizes
@@ -627,19 +656,19 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("argv, digest", [
         (["profile", "--p", "3", *PROFILE],
-         "1c9e48dbcc253374dbb193cd92427163952c46778dec61811d58dd16bdd05ffb"),
+         "d51a86d38bbe73a946e314ad2c787cd38c288a91b0b1bceb8b12224db093ccaf"),
         (["profile", "--p", "7", *PROFILE],
-         "6575ed0fe8036a946e7ba70b0f488ede8b0ba9b55c5babd03e35708b3ec52e51"),
+         "cd26b8f1ffa0f904329ac60caf75a20aa884a9a5d624636851170c991d3b1be8"),
         (["profile", "--p", "17", "--j", "0", *PROFILE],
-         "8c8a55aeb3cf53341ea7e524bb9b19e560119b837cdb3b6a8ec549ae085c8ada"),
+         "902445a24aa4ec51f4eb22853f96fa1299759209d2f29edebd8c44b937a8580d"),
         (["profile", "--p", "17", "--j", "5", *PROFILE],
-         "63a8ba8805d366c44d260e0d46b766f6c22b253c535fa548ea6bb8628e658403"),
+         "5c8762c2a43630fe58b2f088303f749b92f4fa7cf14dafc372e5bb44c5d71a9e"),
         (["profile", "--p", "17", "--j", "11", *PROFILE],
-         "d980ceceeb2f24ce5a488d30454f4e48430b1d51ba9fa362bfe68e12a808bf85"),
+         "66891e18ba5ee0064645f72e91fe8f9ea52e442cc395fc99da61689adc04297d"),
         (["profile", "--p", "43", *PROFILE],
          "592893ad111892dbffd444a8ef5323730cc930bc09d5d9269a7b884f2bd67088"),
         (["profile", "--p", "137", *PROFILE],
-         "5e1d8af2a5245274ea5d97ad2dce3846015e4ab354cfe1480a11eb9ef4889550"),
+         "9533b29241422e4ae5b11aa93a095f4cd7b7009a2da2c4b3c6fe93d7c251de76"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "csv"],
          "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
@@ -651,7 +680,7 @@ class TestGoldenBytes:
         (["classify-primes", "--limit", "20000"],
          "71380c463090ced0146a7d96446565242ec33e886f09ea167ddbfb01f788f15f"),
         (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],
-         "50fa0ae47671c9c8061de6f22a736bedefbfb792e9a5dd170630bd99cfdc492c"),
+         "662cbec8a9df03d8c266e5b632e35c3a36528d6043783a1aaed4e274055ac808"),
         (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
          "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
         (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES],

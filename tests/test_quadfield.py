@@ -235,7 +235,8 @@ class TestLambda1BeyondTheFloatRange:
         rec = prime_record(self.P)
         assert rec.cls.value == "P21" and rec.h * rec.regulator > 709.8
         assert rec.lambda1 == math.inf and 0.0 < rec.lambda2 < 1e-300
-        assert abs(rec.beta - rareclass.scaling_exponents(self.P).beta) < 1e-12
+        sp = rareclass._coset_spectrum(self.P)
+        assert abs(rec.beta - sp.log2_moduli[0] / sp.s) < 1e-12
 
     def test_residue_beta_matches_the_orbit_sum(self):
         rec = prime_record(self.P)

@@ -2,9 +2,11 @@
 
 import builtins
 import cmath
+import decimal
 import math
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,6 @@ from scipy.linalg import circulant
 
 from tmqc import diffract, quadfield, rareclass
 from tmqc.rareclass import (
-    coquet_decompose,
     eigenvalues_explicit,
     fractal_profile,
     grabner_composite,
@@ -233,7 +234,7 @@ def _profile_by_apply(p, j, horizon_exponent, resolution):
     mat = transfer_matrix(p)
     beta = mat.exponents.beta
     period_bits = profile_period_factor(p) * mat.s
-    k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
+    k_apps, scale = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
     xs, vals, raws, ns = [], [], [], []
     seen = set()
     for idx in range(resolution):
@@ -276,7 +277,7 @@ class TestProfileBitIdentity:
     @pytest.mark.parametrize("p", [3, 7, 17, 41, 43])
     def test_profile_value_matches_apply_loop(self, p):
         mat = transfer_matrix(p)
-        k_apps, scale = rareclass._profile_refinement(p, mat.exponents)
+        k_apps, scale = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
         for n in (1, 6, 1001, (1 << 45) + 3, (1 << 70) + 12345):
             refined = rareclass._svec(p, n)
             for _ in range(k_apps):
@@ -290,7 +291,7 @@ class TestProfileBitIdentity:
         # the refined read of the doubling table is the generator M^k applied
         # to S(n), for n up to and past 2^62
         mat = transfer_matrix(p)
-        k_apps, _ = rareclass._profile_refinement(p, mat.exponents)
+        k_apps, _ = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
         ks = k_apps * mat.s
         ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 70) + 12345]
         rows = list(rareclass._doubling_rows(p, ks + max(ns).bit_length()))
@@ -321,7 +322,8 @@ class TestProfileBitIdentity:
         monkeypatch.setattr(rareclass.TransferMatrix, "apply",
                             lambda self, vec: calls.append(1) or real(self, vec))
         prof = fractal_profile(17, 0, 40, resolution=64)
-        assert rareclass._profile_refinement(17, scaling_exponents(17))[0] > 0
+        rec = quadfield.prime_record(17)
+        assert rareclass._profile_refinement(rec, scaling_exponents(17))[0] > 0
         assert len(prof.n_samples) > 0 and calls == []
 
     def test_other_class_profile_time_and_memory(self):
@@ -462,6 +464,11 @@ def _cosets_by_scan(p):
 
 
 _ODD_PRIMES_2000 = [p for p in quadfield.primes_up_to(2000) if p > 2]
+# the 1476 P1, P21 and P23 primes below 20000
+_CLOSED_FORM_PRIMES_20000 = [
+    p for p in quadfield.primes_up_to(20_000)[1:]
+    if quadfield.classify_prime(p) is not quadfield.PrimeClass.OTHER
+]
 
 
 class TestSpectrumOfM:
@@ -525,10 +532,49 @@ class TestCosetSpectrum:
             assert sorted(tuple(sorted(row)) for row in cosets) == _cosets_by_scan(p), p
 
     def test_scaling_exponents_match_closed_forms(self):
-        for p in _ODD_PRIMES_2000:
+        # P1, P21 and P23 primes take their exponents from the closed forms,
+        # bit for bit, and the coset spectrum is the oracle: its sum of p - 1
+        # logarithms cancels down to log2 p, so it drifts with p (worst
+        # 3.0e-13 relative below 20000, at p = 19541)
+        assert len(_CLOSED_FORM_PRIMES_20000) == 1476
+        for p in _CLOSED_FORM_PRIMES_20000:
             rec = quadfield.prime_record(p)
-            if rec.beta is not None:
-                assert abs(scaling_exponents(p).beta - rec.beta) <= 1e-12, p
+            exps = scaling_exponents(p)
+            assert (exps.beta, exps.lambda1, exps.lambda2) == (
+                rec.beta, rec.lambda1, rec.lambda2), p
+            sp = rareclass._coset_spectrum(p)
+            logs = sp.log2_moduli.tolist()
+            assert abs(logs[0] / sp.s - rec.beta) <= 4e-13 * rec.beta, p
+            beta1 = logs[1] / sp.s if len(logs) > 1 and logs[1] > 0.0 else 0.0
+            assert abs(exps.beta1 - beta1) <= 4e-13 * rec.beta, p
+
+    def test_period_factor_matches_the_coset_sign(self):
+        # r from the class (1 for P1 and P21, 4 for P23) against the sign
+        # of the dominant coset: xi = |xi| (-i)^a, a = s + 2 [sign < 0]
+        for p in _CLOSED_FORM_PRIMES_20000:
+            sp = rareclass._coset_spectrum(p)
+            a = (sp.s + (2 if sp.signs[0] < 0 else 0)) % 4
+            assert profile_period_factor(p) == (1, 4, 2, 4)[a], p
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 2963, 1000003,       # P1
+                                   7, 23, 2927, 999983,           # P23
+                                   17, 41, 401, 9049, 199961])    # P21
+    def test_closed_forms_to_40_digits(self, p):
+        # beta = (log p + 2 h log eps) / ((p - 1) log 2), h = 0 off P21, at
+        # 40 digits from the exact unit; P1 and P23 are within 2 ulps.  P21
+        # reads log eps from `FundamentalUnit.log_value`, which subtracts
+        # 128 log 2 from a logarithm near 89: about 1.4e-15 at p = 17
+        rec = quadfield.prime_record(p)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            num = Decimal(p).ln()
+            if rec.cls is quadfield.PrimeClass.P21:
+                eps = rec.epsilon
+                assert quadfield._norm_form(p, eps.u, eps.v) in (1, -1)
+                num += 2 * rec.h * (eps.u + eps.v * (1 + Decimal(p).sqrt()) / 2).ln()
+            exact = num / ((p - 1) * Decimal(2).ln())
+        bound = 2e-15 if rec.cls is quadfield.PrimeClass.P21 else 2.5e-16
+        assert abs(Decimal(rec.beta) - exact) <= Decimal(bound) * exact
 
     @pytest.mark.parametrize("p", [7, 23, 31, 47, 8191])
     def test_order_is_deterministic(self, p):
@@ -646,7 +692,7 @@ class TestProfiles:
 
     def test_p3_residue2_touches_zero(self):
         prof = fractal_profile(3, 2, 16, resolution=128)
-        assert prof.touches_zero_or_changes_sign()
+        assert prof.values.min() <= 1e-9 and prof.values.max() >= -1e-9
 
     def test_p3_residues_0_1_avoid_zero(self):
         p0 = fractal_profile(3, 0, 14, resolution=64)
@@ -680,24 +726,24 @@ class TestProfiles:
 
 
 class TestCoquet:
+    """Coquet's split S_{3,0}(n) = (S_{3,0}(4n) + eps)/3 at p = 3: the profile
+    part S_{3,0}(4n)/(3 n^beta) is `profile_value(3, 0, n)`, and criterion 02
+    checks eps on the scan's sums up to n = 10^5."""
+
     def test_first_values(self):
-        psi, eps = coquet_decompose(1)
-        assert eps == 1
-        assert psi == pytest.approx(2.0 / 3.0)
+        assert 3 * rarefied_sum(3, 0, 1) - rarefied_sum(3, 0, 4) == 1
+        assert rareclass.profile_value(3, 0, 1) == pytest.approx(2.0 / 3.0)
 
     def test_remainder_set_small_range(self):
+        # the remainder is exactly -eta_n on odd n and 0 on even n
         for n in range(1, 3000):
-            _, eps = coquet_decompose(n)
-            assert eps in (-1, 0, 1)
-            # the remainder is exactly -eta_n on odd n and 0 on even n
-            expected = 0 if n % 2 == 0 else -tm_sign(n)
-            assert eps == expected
+            eps = 3 * rarefied_sum(3, 0, n) - rarefied_sum(3, 0, 4 * n)
+            assert eps == (0 if n % 2 == 0 else -tm_sign(n)), n
 
     def test_fiber_constancy_at_powers_of_four(self):
-        base, _ = coquet_decompose(1)
+        base = rareclass.profile_value(3, 0, 1)
         for m in (4, 16, 64, 256):
-            psi, _ = coquet_decompose(m)
-            assert psi == pytest.approx(base, rel=1e-12)
+            assert rareclass.profile_value(3, 0, m) == pytest.approx(base, rel=1e-12)
 
 
 class TestNewman:

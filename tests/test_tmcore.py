@@ -10,7 +10,6 @@ from tmqc import tmcore
 from tmqc.tmcore import (
     QuasicrystalParams,
     digit_sum,
-    gab,
     point,
     sign_array,
     tm_sign,
@@ -146,40 +145,12 @@ class TestMeyerProperty:
                 assert any(d - g in big for g in f_set | {Fraction(0)}), d
 
 
-class TestGab:
-    def test_examples(self):
-        assert gab(3, 1) == 2
-        assert gab(3, 2) == 1
-        assert gab(5, 3) == 2
-
-    def test_parity_rule(self):
-        for a in range(2, 60):
-            for b in range(1, a):
-                from math import gcd
-                if gcd(a, b) != 1:
-                    continue
-                expected = 2 if (a % 2 == 1 and b % 2 == 1) else 1
-                assert gab(a, b) == expected
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            gab(6, 2)
-
-
 class TestParams:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             QuasicrystalParams(Fraction(1), Fraction(2))
         with pytest.raises(ValueError):
             QuasicrystalParams(Fraction(2), Fraction(2))
-
-    def test_gab_value_clears_denominators(self):
-        # (3/2, 1) clears to (3, 2): content gcd(1, 5)/2
-        assert QuasicrystalParams(Fraction(3, 2), Fraction(1)).gab_value == Fraction(1, 2)
-        # (3, 1): both odd
-        assert QuasicrystalParams(Fraction(3), Fraction(1)).gab_value == 2
-        # the content scales with the tiles (it carries length units)
-        assert QuasicrystalParams(Fraction(6), Fraction(2)).gab_value == 4
 
     def test_derived_constants(self, params21):
         assert params21.alpha1 == Fraction(3, 2)
