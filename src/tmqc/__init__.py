@@ -26,6 +26,7 @@ from .rareclass import (
     transfer_matrix,
     eigenvalues_explicit,
     scaling_exponents,
+    scan_size_increasing,
     fractal_profile,
     newman_check,
     positivity_scan,
@@ -39,7 +40,6 @@ from .quadfield import (
     fundamental_unit,
     class_number,
     prime_record,
-    scan_size_increasing,
 )
 from .spectrum import (
     SpectralKind,

@@ -265,11 +265,11 @@ def _cmd_spectrum(args) -> tuple:
             raise UsageError(f"q={tok}: {exc}") from exc
         rows.append((
             tok, v.t, v.h, v.p, v.kind.value, v.alpha, v.residue_alpha,
-            abs(v.kappa_eta), v.exponent_source, v.conjectural,
+            abs(v.kappa_eta), v.exponent_source,
         ))
     columns = [
         "q", "t", "h", "p", "kind", "alpha", "residue_alpha",
-        "kappa_eta_abs", "source", "conjectural",
+        "kappa_eta_abs", "source",
     ]
     return columns, rows
 

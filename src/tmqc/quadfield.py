@@ -33,10 +33,7 @@ __all__ = [
     "fundamental_unit",
     "dirichlet_l_one",
     "class_number",
-    "residue_beta",
     "prime_record",
-    "scan_size_increasing",
-    "SizeIncreasingScan",
     "ClassNumberDriftError",
 ]
 
@@ -154,11 +151,15 @@ class FundamentalUnit(NamedTuple):
 
     def log_value(self) -> float:
         """log eps at full precision even when the coordinates are huge:
-        evaluated through integer square roots at 128 extra bits."""
+        num = 2^129 eps through integer square roots at 128 extra bits, then
+        log(num / 2^k) + (k - 129) log 2.  Integer true division is
+        correctly rounded, so a unit below 2^1000 (k = 129) loses no bits
+        to the subtraction of a logarithm near 90."""
         shift = 1 << 128
         sq = math.isqrt(self.p * shift * shift)
         num = 2 * self.u * shift + self.v * (shift + sq)
-        return math.log(num) - math.log(2) - 128 * _LOG2
+        k = max(num.bit_length() - 1000, 129)
+        return math.log(num / (1 << k)) + (k - 129) * _LOG2
 
     def __str__(self) -> str:
         return f"{self.u}+{self.v}w"
@@ -174,30 +175,30 @@ def fundamental_unit(p: int) -> FundamentalUnit:
     """Smallest unit > 1 of the ring of integers of Q(sqrt p), p = 1 (mod 4).
 
     Runs the continued fraction of omega = (1+sqrt p)/2 on the exact surd
-    state (P + sqrt(D))/Q; convergents h/k give candidates (h-k) + k*omega,
-    and the first norm +-1 hit is the fundamental unit.  All arithmetic is
-    on arbitrary-precision integers.  Cached, so `class_number` and
+    state (P + sqrt(p))/Q; convergents h/k give candidates (h-k) + k*omega.
+    A candidate has norm +-1 exactly when the next Q returns to 2, the Q of
+    omega, so the search closes at the end of the first period, which it
+    always reaches, and the norm is taken once.  All arithmetic is on
+    arbitrary-precision integers.  Cached, so `class_number` and
     `prime_record` share one unit per p.
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError("fundamental_unit expects a prime p = 1 (mod 4)")
-    D = p
-    sq = math.isqrt(D)
+    sq = math.isqrt(p)
     P, Q = 1, 2
     a = (P + sq) // Q
     h_prev, k_prev = 1, 0
     h_cur, k_cur = a, 1
-    for _ in range(10_000):
-        u, v = h_cur - k_cur, k_cur
-        n = _norm_form(p, u, v)
-        if n in (1, -1) and v != 0:
-            return FundamentalUnit(p, u, v, n)
+    while True:
         P = a * Q - P
-        Q = (D - P * P) // Q
+        Q = (p - P * P) // Q
+        if Q == 2:
+            break
         a = (P + sq) // Q
         h_cur, h_prev = a * h_cur + h_prev, h_cur
         k_cur, k_prev = a * k_cur + k_prev, k_cur
-    raise ArithmeticError(f"continued fraction for p={p} did not close")
+    u, v = h_cur - k_cur, k_cur
+    return FundamentalUnit(p, u, v, _norm_form(p, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +301,6 @@ class PrimeClassRecord(NamedTuple):
     regulator: float | None = None
 
 
-def residue_beta(rec: PrimeClassRecord, t: int) -> float:
-    """beta_t = log2 |mu_t| / s at a residue t not divisible by p, for a P1,
-    P21 or P23 record, in O(log p).
-
-    P1 has one coset of <2> and P23 two conjugate ones, so every t has the
-    record's beta.  For P21, <2> is the subgroup of quadratic residues, and
-    the two coset moduli sqrt(p) eps^(+-h) multiply to p: a non-residue t
-    (chi_p(t) = -1 by Euler's criterion) carries the record's beta, bit for
-    bit, and a residue (log p - 2 h log eps) / ((p-1) log 2).
-    """
-    p = rec.p
-    if t % p == 0:
-        raise ValueError("t must be nonzero mod p")
-    if rec.beta is None:
-        raise ValueError(
-            f"no closed exponent formula for class {rec.cls.value}; "
-            "use rareclass.residue_exponent instead"
-        )
-    if rec.cls is PrimeClass.P21 and quadratic_character(t, p) == 1:
-        return (math.log(p) - 2.0 * rec.h * rec.regulator) / ((p - 1) * _LOG2)
-    return rec.beta
-
-
 def prime_record(p: int) -> PrimeClassRecord:
     """Full record: class, exponent and (for P21) field invariants, with h
     from `class_number`.  beta is log p / ((p-1) log 2) for P1 and P23 and
@@ -347,32 +325,3 @@ def prime_record(p: int) -> PrimeClassRecord:
         beta = (math.log(p) + 2.0 * h * reg) / ((p - 1) * _LOG2)
         return PrimeClassRecord(p, s, cls, beta, lam1, lam2, h, eps, reg)
     return PrimeClassRecord(p, s, cls, None, None, None)
-
-
-class SizeIncreasingScan(NamedTuple):
-    """Primes with growth exponent beta > 1/2, by class, below a limit."""
-
-    limit: int
-    p1: tuple
-    p21: tuple
-    p23: tuple
-    other: tuple     # via the coset spectrum
-
-
-def scan_size_increasing(limit: int) -> SizeIncreasingScan:
-    """Scan odd primes p < limit of every class for beta > 1/2: beta from
-    `prime_record` for P1, P21 and P23, and from the coset spectrum
-    (`rareclass.scaling_exponents`) for the Other primes, which have no
-    closed formula.
-    """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    from . import rareclass  # runtime import; rareclass depends on this module
-
-    hits = {cls: [] for cls in PrimeClass}
-    for p in primes_up_to(limit - 1)[1:]:
-        rec = prime_record(p)
-        beta = rec.beta if rec.beta is not None else rareclass.scaling_exponents(p).beta
-        if beta > 0.5:
-            hits[rec.cls].append(p)
-    return SizeIncreasingScan(limit, *(tuple(hits[cls]) for cls in PrimeClass))

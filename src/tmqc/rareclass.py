@@ -35,12 +35,13 @@ import numpy as np
 
 from .tmcore import _Frozen, number_text, sign_array, tm_sign
 from .quadfield import (PrimeClass, PrimeClassRecord, _factorize, is_prime, order_of_two,
-                        prime_record)
+                        prime_record, primes_up_to, quadratic_character)
 
 __all__ = [
     "RarefiedVector",
     "TransferMatrix",
     "ScalingExponents",
+    "SizeIncreasingScan",
     "FractalProfile",
     "NewmanReport",
     "PositivityReport",
@@ -53,8 +54,10 @@ __all__ = [
     "transfer_matrix",
     "residue_exponent",
     "max_orbit_exponent",
+    "odd_part_exponents",
     "eigenvalues_explicit",
     "scaling_exponents",
+    "scan_size_increasing",
     "profile_period_factor",
     "profile_value",
     "fractal_profile",
@@ -375,23 +378,6 @@ def _on_axis(v: float, s: int) -> complex:
     return (complex(v, 0.0), complex(0.0, -v), complex(-v, 0.0), complex(0.0, v))[s % 4]
 
 
-def residue_exponent(p: int, t: int) -> float:
-    """Growth exponent of the sign-sequence exponential sum at frequency t/p:
-    log2|mu_t| / s.  It is constant on cosets of <2>, so for primes with two
-    cosets the exponent genuinely depends on the residue t: only the coset
-    carrying lambda_1 grows at the headline rate.
-
-    log2|mu_t| is summed over the orbit t 2^j mod p (j < s) alone, as in
-    `_orbit_log2`: O(s) numpy work and no coset table.  |mu_t| itself, which
-    leaves the float range at large s, is never formed.
-    """
-    _check_spectrum_prime(p)
-    if t % p == 0:
-        raise ValueError("t must be nonzero mod p")
-    s = order_of_two(p)
-    return float(_orbit_log2(t % p * _powers(2, s, p) % p, p)) / s
-
-
 def max_orbit_exponent(p: int) -> float:
     """beta(p) = max over 0 < t < p of beta_t(p), where
     beta_t(p) = (1/s) sum_{j<s} log2 |2 sin(pi 2^j t / p)| and s = ord_2(p),
@@ -523,8 +509,79 @@ def scaling_exponents(p: int) -> ScalingExponents:
     lambda_2 > 1 (beta to rounding for P23), else 0.  The coset spectrum is
     the closed forms' oracle in tests: its p - 1 logarithms cancel down to
     log2 p, 3.0e-13 relative off at worst below p = 20000.  The closed forms
-    are within 2.5e-16 of 40 digits for P1 and P23, 1.4e-15 for P21."""
+    are within 2.5e-16 of 40 digits for P1, P21 and P23."""
     return _exponents(_prime_record(p))
+
+
+def residue_exponent(p: int, t: int) -> float:
+    """Growth exponent of the sign-sequence exponential sum at frequency t/p,
+    beta_t(p) = log2|mu_t| / s, for an odd prime p <= MAX_SPECTRUM_P.  It is
+    constant on cosets of <2>, so for primes with two cosets it genuinely
+    depends on the residue t: only the coset carrying lambda_1 grows at the
+    headline rate.  The route is picked from the class, as in
+    `scaling_exponents`; see `_residue_exponent`."""
+    return _residue_exponent(_prime_record(p), t)
+
+
+def _residue_exponent(rec: PrimeClassRecord, t: int) -> float:
+    """beta_t at a residue t not divisible by the prime of `rec`.
+
+    P1 has one coset of <2> and P23 two conjugate ones, so every t has the
+    record's beta.  For P21, <2> is the subgroup of quadratic residues, and
+    the two coset moduli sqrt(p) eps^(+-h) multiply to p: a non-residue t
+    (Euler's criterion, O(log p)) carries the record's beta bit for bit, a
+    residue (log p - 2 h log eps) / ((p-1) log 2).  An Other prime sums
+    log2|mu_t| over the orbit t 2^j mod p (j < s) alone, as in
+    `_orbit_log2`: O(s) numpy work and no coset table.  |mu_t| itself, which
+    leaves the float range at large s, is never formed.
+    """
+    p = rec.p
+    if t % p == 0:
+        raise ValueError("t must be nonzero mod p")
+    if rec.cls is PrimeClass.OTHER:
+        return float(_orbit_log2(t % p * _powers(2, rec.s, p) % p, p)) / rec.s
+    if rec.cls is PrimeClass.P21 and quadratic_character(t, p) == 1:
+        return (math.log(p) - 2.0 * rec.h * rec.regulator) / ((p - 1) * _LOG2)
+    return rec.beta
+
+
+def odd_part_exponents(p: int, t: int) -> tuple:
+    """(beta(p), beta_t(p) or None, source) for an odd p >= 3 and a residue
+    t not divisible by p, the route picked here alone: `max_orbit_exponent`
+    for a composite p ("orbit-formula", no beta_t), and for a prime one
+    `prime_record` lookup read by `scaling_exponents`' route and
+    `_residue_exponent` ("closed-form" for P1, P21 and P23, else
+    "coset-spectrum").  p above MAX_SPECTRUM_P is refused before any O(p)
+    work, prime or not."""
+    check_spectrum_size(p)
+    if not is_prime(p):
+        return max_orbit_exponent(p), None, "orbit-formula"
+    rec = _prime_record(p)
+    source = "closed-form" if rec.beta is not None else "coset-spectrum"
+    return _exponents(rec).beta, _residue_exponent(rec, t), source
+
+
+class SizeIncreasingScan(NamedTuple):
+    """Primes with growth exponent beta > 1/2, by class, below a limit."""
+
+    limit: int
+    p1: tuple
+    p21: tuple
+    p23: tuple
+    other: tuple     # via the coset spectrum
+
+
+def scan_size_increasing(limit: int) -> SizeIncreasingScan:
+    """Scan odd primes p < limit of every class for beta > 1/2, beta read
+    by the route of `scaling_exponents`."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    hits = {cls: [] for cls in PrimeClass}
+    for p in primes_up_to(limit - 1)[1:]:
+        rec = prime_record(p)
+        if _exponents(rec).beta > 0.5:
+            hits[rec.cls].append(p)
+    return SizeIncreasingScan(limit, *(tuple(hits[cls]) for cls in PrimeClass))
 
 
 def transfer_matrix(p: int) -> TransferMatrix:

@@ -97,22 +97,9 @@ class SpectralVerdict(NamedTuple):
     alpha: float | None
     kappa_eta: complex
     exponent_source: str | None = None    # closed-form | coset-spectrum | orbit-formula
-    conjectural: bool = False             # always False: every exponent is exact
     kappa_eta_boundary: bool = False      # 0 < |kappa_eta| < 1e-7
     residue_alpha: float | None = None    # coset-resolved exponent at t (primes)
     extinct: bool = False                 # Bragg position whose unit-weight density dies
-
-
-def _prime_betas(p: int, t: int) -> tuple:
-    """(beta(p), beta_t(p), source) for an odd prime p <= the coset-spectrum
-    limit: one `prime_record`, then the closed forms for P1, P21 and P23
-    (O(log p) for the residue), else the cached coset spectrum and the O(s)
-    orbit sum of t."""
-    rec = quadfield.prime_record(p)
-    if rec.beta is not None:
-        return rec.beta, quadfield.residue_beta(rec, t), "closed-form"
-    beta = rareclass.scaling_exponents(p).beta
-    return beta, rareclass.residue_exponent(p, t), "coset-spectrum"
 
 
 def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
@@ -125,14 +112,12 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
     `extinct` set where its unit-weight density vanishes (`_dyadic_extinct`,
     an exact rational test).  Every
     other odd part p gets the exact exponent alpha = 2 beta(p) - 1, with
-    beta(p) the largest orbit exponent max_t beta_t(p):
-
-      P1, P21, P23 primes   closed forms from `quadfield.prime_record`
-      Other primes          the cached coset spectrum (`rareclass`)
-      composites            `rareclass.max_orbit_exponent`
-
-    p above `rareclass.MAX_SPECTRUM_P` raises ValueError before any O(p)
-    work, prime or not.
+    beta(p) the largest orbit exponent max_t beta_t(p), from one
+    `rareclass.odd_part_exponents` call, which picks the route and names it
+    in `exponent_source`: closed forms for P1, P21 and P23 primes, the
+    cached coset spectrum for Other primes, the orbit formula for
+    composites.  p above `rareclass.MAX_SPECTRUM_P` raises ValueError
+    before any O(p) work, prime or not.
 
     Diagnostics: for primes the coset-resolved exponent at the residue t is
     reported as `residue_alpha`; when t sits in a subdominant coset the
@@ -154,20 +139,13 @@ def classify(q: Fraction, params: QuasicrystalParams) -> SpectralVerdict:
         return SpectralVerdict(
             SpectralKind.EXCLUDED, nwv.q, nwv.t, nwv.h, nwv.p, k, None, ke
         )
-    p = nwv.p
-    # O(1), first: nothing factors p - 1 or builds an O(p) table above the cap
-    rareclass.check_spectrum_size(p)
-    if quadfield.is_prime(p):
-        beta, res_beta, source = _prime_betas(p, nwv.t % p)
-        res_alpha = 2.0 * res_beta - 1.0
-    else:
-        beta, res_alpha, source = rareclass.max_orbit_exponent(p), None, "orbit-formula"
+    beta, res_beta, source = rareclass.odd_part_exponents(nwv.p, nwv.t % nwv.p)
     return SpectralVerdict(
         SpectralKind.SINGULAR_CONTINUOUS, nwv.q, nwv.t, nwv.h, nwv.p, k,
         2.0 * beta - 1.0, ke,
         exponent_source=source,
         kappa_eta_boundary=abs(ke) < _KAPPA_ETA_NEAR_ZERO,
-        residue_alpha=res_alpha,
+        residue_alpha=None if res_beta is None else 2.0 * res_beta - 1.0,
     )
 
 

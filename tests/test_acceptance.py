@@ -188,7 +188,7 @@ def test_criterion_06_class_membership_lists():
 def test_criterion_07_size_increasing_primes():
     """Exponent > 1/2 below 1000: exactly {3,5} (full order), {17}
     (half order, 1 mod 4), none (half order, 3 mod 4)."""
-    scan = quadfield.scan_size_increasing(1000)
+    scan = rareclass.scan_size_increasing(1000)
     assert scan.p1 == (3, 5)
     assert scan.p21 == (17,)
     assert scan.p23 == ()

@@ -382,8 +382,7 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(["spectrum", "--q", "1/9,4/21,7/45"], capsys)
         assert code == 0
         for row in parse_csv(out)[1]:
-            assert (row["source"], row["conjectural"], row["residue_alpha"]) == (
-                "orbit-formula", "False", "")
+            assert (row["source"], row["residue_alpha"]) == ("orbit-formula", "")
             assert float(row["alpha"]) == pytest.approx(math.log2(3) - 1, abs=1e-14)
 
     def test_horizon_flag_is_gone(self, capsys):
@@ -660,27 +659,27 @@ class TestGoldenBytes:
         (["profile", "--p", "7", *PROFILE],
          "cd26b8f1ffa0f904329ac60caf75a20aa884a9a5d624636851170c991d3b1be8"),
         (["profile", "--p", "17", "--j", "0", *PROFILE],
-         "902445a24aa4ec51f4eb22853f96fa1299759209d2f29edebd8c44b937a8580d"),
+         "ce89d0d59708548ae91bb5bc53d67bc080d9b0174c6c555f69a13676c9561e22"),
         (["profile", "--p", "17", "--j", "5", *PROFILE],
-         "5c8762c2a43630fe58b2f088303f749b92f4fa7cf14dafc372e5bb44c5d71a9e"),
+         "7cbe498a94551673d8d0d3d4d430c368d46741dc5501fb2b0e5575caec7f461d"),
         (["profile", "--p", "17", "--j", "11", *PROFILE],
-         "66891e18ba5ee0064645f72e91fe8f9ea52e442cc395fc99da61689adc04297d"),
+         "fc119a66b0bacd179305b1c62266b0e47e331a9ae30f69842a3e28f5a1019883"),
         (["profile", "--p", "43", *PROFILE],
          "592893ad111892dbffd444a8ef5323730cc930bc09d5d9269a7b884f2bd67088"),
         (["profile", "--p", "137", *PROFILE],
-         "9533b29241422e4ae5b11aa93a095f4cd7b7009a2da2c4b3c6fe93d7c251de76"),
+         "c87851c9dc95b78b639b9143360ae767e569d77105bcfd6b45db1ac6266f96d7"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "csv"],
          "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
          "94c7d49393b954192547ecad4e9d45930818819356f511bef07cd8017855088d"),
         (["spectrum", "--q", VERDICTS, "--format", "csv"],
-         "1772356822a3f91845fc74c6ad9b9f16ade7310831bcc50d803c316f77f87db1"),
+         "1ce95aebc12a2efaba95a1ced26e7548327e657a9861ae67d64b1861c82f76f1"),
         (["spectrum", "--q", VERDICTS, "--format", "json"],
-         "d4553aa89647b01b31a0d1581c1e5131831249d362ce832dfe949fe7d518301c"),
+         "4ce0d8acca8a89fc9a2706c842fbef5c751eaec49bdeec1c6c8f1c5ed0544a56"),
         (["classify-primes", "--limit", "20000"],
-         "71380c463090ced0146a7d96446565242ec33e886f09ea167ddbfb01f788f15f"),
+         "5b46688424f97445c2a5e21bd4fe8e4388796ab06db3a5b41395502ca77e1d8d"),
         (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],
-         "662cbec8a9df03d8c266e5b632e35c3a36528d6043783a1aaed4e274055ac808"),
+         "747268d2bbeb29a0a0c71adc2703e029def3d4ca83d085758631df21ecf8a3c5"),
         (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
          "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
         (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES],

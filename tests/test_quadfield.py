@@ -17,9 +17,8 @@ from tmqc.quadfield import (
     prime_record,
     primes_up_to,
     quadratic_character,
-    residue_beta,
-    scan_size_increasing,
 )
+from tmqc.rareclass import scan_size_increasing
 
 LOG2 = math.log(2.0)
 
@@ -123,6 +122,45 @@ class TestFundamentalUnit:
         with pytest.raises(ValueError):
             fundamental_unit(7)
 
+    def test_matches_the_norm_scan(self):
+        # oracle: the search that took the norm of every candidate and
+        # stopped at the first norm +-1
+        checked = 0
+        for p in primes_up_to(20_000):
+            if p % 4 == 1:
+                eps = fundamental_unit(p)
+                assert (eps.u, eps.v, eps.norm) == _unit_by_norm_scan(p), p
+                checked += 1
+        assert checked == 1125
+
+    def test_unit_beyond_the_norm_scan_cap(self):
+        # 30 603 continued-fraction steps: the norm scan gave up after 10 000
+        p = 1000000033
+        eps = fundamental_unit(p)
+        assert eps.norm == -1
+        assert quadfield._norm_form(p, eps.u, eps.v) == eps.norm
+
+
+def _unit_by_norm_scan(p):
+    """(u, v, norm) of the first convergent candidate of norm +-1, the norm
+    taken at every step."""
+    sq = math.isqrt(p)
+    P, Q = 1, 2
+    a = (P + sq) // Q
+    h_prev, k_prev = 1, 0
+    h_cur, k_cur = a, 1
+    for _ in range(10_000):
+        u, v = h_cur - k_cur, k_cur
+        n = quadfield._norm_form(p, u, v)
+        if n in (1, -1) and v != 0:
+            return u, v, n
+        P = a * Q - P
+        Q = (p - P * P) // Q
+        a = (P + sq) // Q
+        h_cur, h_prev = a * h_cur + h_prev, h_cur
+        k_cur, k_prev = a * k_cur + k_prev, k_cur
+    raise ArithmeticError(f"continued fraction for p={p} did not close")
+
 
 class TestLFunctionAndClassNumber:
     def test_character_is_multiplicative(self):
@@ -214,8 +252,6 @@ class TestBetaForClass:
     def test_other_class_has_no_closed_form(self):
         rec = prime_record(43)
         assert rec.beta is None
-        with pytest.raises(ValueError, match="no closed exponent formula"):
-            residue_beta(rec, 1)
 
     def test_other_class_lower_bound(self):
         # outside the three closed-form classes the exponent strictly
@@ -239,15 +275,18 @@ class TestLambda1BeyondTheFloatRange:
         assert abs(rec.beta - sp.log2_moduli[0] / sp.s) < 1e-12
 
     def test_residue_beta_matches_the_orbit_sum(self):
+        # beta_t from the closed forms against the sum over the orbit of t
         rec = prime_record(self.P)
         # 2 is a residue mod p, since <2> is the subgroup of quadratic residues
         nonresidue = next(
             t for t in range(3, self.P) if quadfield.quadratic_character(t, self.P) == -1)
-        for t in (2, nonresidue):
-            expected = rareclass.residue_exponent(self.P, t)
-            assert residue_beta(rec, t) == pytest.approx(expected, rel=1e-12, abs=1e-14)
-        assert residue_beta(rec, nonresidue) == rec.beta
-        assert residue_beta(rec, 2) < 0.0 < rec.beta
+        beta_t = {t: rareclass.residue_exponent(self.P, t) for t in (2, nonresidue)}
+        for t, beta in beta_t.items():
+            orbit = t * rareclass._powers(2, rec.s, self.P) % self.P
+            expected = float(rareclass._orbit_log2(orbit, self.P)) / rec.s
+            assert beta == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert beta_t[nonresidue] == rec.beta
+        assert beta_t[2] < 0.0 < rec.beta
 
 
 class TestCrossConsistency:

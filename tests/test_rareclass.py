@@ -561,9 +561,8 @@ class TestCosetSpectrum:
                                    17, 41, 401, 9049, 199961])    # P21
     def test_closed_forms_to_40_digits(self, p):
         # beta = (log p + 2 h log eps) / ((p - 1) log 2), h = 0 off P21, at
-        # 40 digits from the exact unit; P1 and P23 are within 2 ulps.  P21
-        # reads log eps from `FundamentalUnit.log_value`, which subtracts
-        # 128 log 2 from a logarithm near 89: about 1.4e-15 at p = 17
+        # 40 digits from the exact unit; every class is within about 2 ulps
+        # (P21 reads at most 1.6e-16 here)
         rec = quadfield.prime_record(p)
         with decimal.localcontext() as ctx:
             ctx.prec = 40
@@ -573,8 +572,7 @@ class TestCosetSpectrum:
                 assert quadfield._norm_form(p, eps.u, eps.v) in (1, -1)
                 num += 2 * rec.h * (eps.u + eps.v * (1 + Decimal(p).sqrt()) / 2).ln()
             exact = num / ((p - 1) * Decimal(2).ln())
-        bound = 2e-15 if rec.cls is quadfield.PrimeClass.P21 else 2.5e-16
-        assert abs(Decimal(rec.beta) - exact) <= Decimal(bound) * exact
+        assert abs(Decimal(rec.beta) - exact) <= Decimal(2.5e-16) * exact
 
     @pytest.mark.parametrize("p", [7, 23, 31, 47, 8191])
     def test_order_is_deterministic(self, p):

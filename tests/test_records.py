@@ -26,7 +26,7 @@ _TUPLE_RECORDS = [
     rareclass.GrabnerReport,
     quadfield.FundamentalUnit,
     quadfield.PrimeClassRecord,
-    quadfield.SizeIncreasingScan,
+    rareclass.SizeIncreasingScan,
     spectrum.NormalizedWaveVector,
     spectrum.SpectralVerdict,
     spectrum.RarefactionDomain,

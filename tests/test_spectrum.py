@@ -56,20 +56,31 @@ def _order_of_two(p):
     return s
 
 
+def _orbit(p, t):
+    """The doubling orbit t, 2t, 4t, ... mod p, walked until it returns to t."""
+    orbit, w = [t % p], 2 * t % p
+    while w != orbit[0]:
+        orbit.append(w)
+        w = 2 * w % p
+    return orbit
+
+
+def _orbit_mean_fsum(p, t):
+    """beta_t(p): the mean of log2|2 sin(pi w / p)| over the doubling orbit
+    of t, summed by math.fsum."""
+    orbit = _orbit(p, t)
+    return math.fsum(math.log2(2 * math.sin(math.pi * min(w, p - w) / p))
+                     for w in orbit) / len(orbit)
+
+
 def _orbit_max_fsum(p):
     """max over 0 < t < p of the mean of log2|2 sin(pi w / p)| over the
     doubling orbit of t, one orbit at a time."""
     seen, best = set(), -math.inf
     for t in range(1, p):
-        if t in seen:
-            continue
-        orbit, w = [], t
-        while w not in orbit:
-            orbit.append(w)
-            w = 2 * w % p
-        seen.update(orbit)
-        terms = [math.log2(2 * math.sin(math.pi * min(w, p - w) / p)) for w in orbit]
-        best = max(best, math.fsum(terms) / len(orbit))
+        if t not in seen:
+            seen.update(_orbit(p, t))
+            best = max(best, _orbit_mean_fsum(p, t))
     return best
 
 
@@ -103,7 +114,6 @@ class TestClassify:
         assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
         assert v.alpha == pytest.approx(2 * math.log(3) / math.log(4) - 1, rel=1e-12)
         assert v.exponent_source == "closed-form"
-        assert not v.conjectural
         # single coset mod 3: the residue exponent agrees with the headline
         assert v.residue_alpha == pytest.approx(v.alpha, rel=1e-9)
 
@@ -169,7 +179,6 @@ class TestClassify:
             assert v.kind is SpectralKind.SINGULAR_CONTINUOUS
             assert v.exponent_source == "orbit-formula"
             assert v.alpha == pytest.approx(math.log(3) / math.log(2) - 1, abs=1e-14)
-            assert not v.conjectural
             assert v.residue_alpha is None
 
     def test_composite_other_takes_the_orbit_formula(self, params21):
@@ -179,7 +188,6 @@ class TestClassify:
             v = classify(q, params21)
             assert v.exponent_source == "orbit-formula"
             assert v.alpha == pytest.approx(math.log2(3) - 1, abs=1e-14)
-            assert not v.conjectural
         # no factor 3: a test-local fsum over every residue's orbit
         for p in (25, 35, 55, 77, 85, 91, 125, 143, 187):
             v = classify(Fraction(1, p), params21)
@@ -217,7 +225,7 @@ class TestClassify:
             for t in ts:
                 v = classify(Fraction(t, p), params21)
                 assert v.exponent_source == "closed-form"
-                ref = 2 * rareclass.residue_exponent(p, t) - 1
+                ref = 2 * _orbit_mean_fsum(p, t) - 1
                 assert v.residue_alpha == pytest.approx(ref, abs=1e-12), (p, t)
                 checked += 1
         assert checked > 250
@@ -228,6 +236,24 @@ class TestClassify:
             assert rec.cls is quadfield.PrimeClass.P21
             t = next(t for t in range(2, p) if quadfield.quadratic_character(t, p) == -1)
             assert classify(Fraction(t, p), params21).residue_alpha == 2.0 * rec.beta - 1.0
+
+    def test_one_record_lookup_per_prime(self, params21, monkeypatch):
+        # a warm verdict at an Other prime (coset spectrum cached) looks up
+        # the prime's record and the order of 2 once each
+        classify(Fraction(1, 43), params21)
+        names = ("prime_record", "order_of_two")
+        real = {name: getattr(quadfield, name) for name in names}
+        calls = []
+
+        def counted(name):
+            return lambda *args: calls.append(name) or real[name](*args)
+
+        for mod in (quadfield, rareclass):
+            for name in names:
+                monkeypatch.setattr(mod, name, counted(name))
+        v = classify(Fraction(1, 43), params21)
+        assert v.exponent_source == "coset-spectrum"
+        assert sorted(calls) == ["order_of_two", "prime_record"]
 
     def test_two_coset_primes_skip_the_orbit_sum(self, params21, monkeypatch):
         def refuse(*args):
