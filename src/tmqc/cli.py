@@ -19,17 +19,13 @@ error, 2 numerical sanity failure.
 
 from __future__ import annotations
 
-import argparse
 import csv
+import functools
 import gc
 import io
-# argparse translates its messages through gettext, which imports locale
-# inside the first parse (about 2 ms); importing it here puts that cost in
-# start-up instead of the first command
-import locale  # noqa: F401
 import math
-import re
 import sys
+import types
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -53,19 +49,6 @@ def __getattr__(name: str):
 
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a token of "-" and a digit is a value, such as the rational
-        # "-1/3" or the grid "-1/3:1/256:5"; argparse takes only plain
-        # negative integers and decimals for values, and no tmqc option
-        # starts with "-" and a digit
-        self._negative_number_matcher = re.compile(r"^-\d")
-
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        raise UsageError(message)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -378,112 +361,193 @@ def _cmd_marcinkiewicz(args) -> tuple:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _common(p: _Parser) -> None:
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
+# A subcommand's flags, in the order its help lists them: name -> (type,
+# default, required, choices, help).  `_table_args` reads a command line
+# against them, and `_add_flags` gives them to argparse.
+_COMMON = {
+    "out": (str, None, False, None, "output path (default stdout)"),
+    "format": (str, "csv", False, ("csv", "json"), None),
+}
+_TILES = {
+    "a": (str, "2", False, None, "tile length a as num/den"),
+    "b": (str, "1", False, None, "tile length b as num/den"),
+}
+_PRIME = {"p": (int, None, True, None, None)}
 
-
-def _tiles(p: _Parser) -> None:
-    p.add_argument("--a", default="2", help="tile length a as num/den")
-    p.add_argument("--b", default="1", help="tile length b as num/den")
-
-
-def _add_sequence(p: _Parser) -> None:
-    _tiles(p)
-    p.add_argument("--limit", type=int, default=16, help="largest index n")
-
-
-def _add_diffract(p: _Parser) -> None:
-    _tiles(p)
-    p.add_argument("--grid", required=True, help="comma list of q, or start:step:count")
-    p.add_argument("--sizes", default="256,1024,4096,16384", help="comma list of l")
-    p.add_argument("--jobs", type=int, help="accepted and ignored: the grid runs in one process")
-
-
-def _add_classify_primes(p: _Parser) -> None:
-    p.add_argument("--limit", type=int, default=200, help="scan primes below this")
-
-
-def _add_spectrum(p: _Parser) -> None:
-    _tiles(p)
-    p.add_argument("--q", required=True, help="comma list of rationals")
-
-
-def _add_profile(p: _Parser) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--resolution", type=int, default=256)
-
-
-def _add_rarefy(p: _Parser) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--limit", type=int, default=32, help="largest argument n")
-
-
-def _add_marcinkiewicz(p: _Parser) -> None:
-    p.add_argument("--weights", default="ones",
-                   help=f"weight family: {', '.join(_WEIGHT_FAMILIES)}")
-    p.add_argument("--horizon", type=int, default=16, help="log2 horizon")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random family")
-
-
-# name: (help, flags after the common ones, handler), in the order `tmqc -h`
-# lists them
+# name: (help, flags, handler), in the order `tmqc -h` lists them
 _SUBCOMMANDS = {
-    "sequence": ("digit sums, signs and vertices", _add_sequence, _cmd_sequence),
-    "diffract": ("approximant densities over a q grid", _add_diffract, _cmd_diffract),
-    "classify-primes": ("prime class/unit/exponent table", _add_classify_primes,
-                        _cmd_classify_primes),
-    "spectrum": ("verdicts for rational wave vectors", _add_spectrum, _cmd_spectrum),
-    "profile": ("log-periodic profile samples", _add_profile, _cmd_profile),
-    "rarefy": ("rarefied sum vectors", _add_rarefy, _cmd_rarefy),
-    "marcinkiewicz": ("averaged-weight pseudo-norm", _add_marcinkiewicz, _cmd_marcinkiewicz),
+    "sequence": ("digit sums, signs and vertices", {
+        **_COMMON, **_TILES,
+        "limit": (int, 16, False, None, "largest index n"),
+    }, _cmd_sequence),
+    "diffract": ("approximant densities over a q grid", {
+        **_COMMON, **_TILES,
+        "grid": (str, None, True, None, "comma list of q, or start:step:count"),
+        "sizes": (str, "256,1024,4096,16384", False, None, "comma list of l"),
+        "jobs": (int, None, False, None, "accepted and ignored: the grid runs in one process"),
+    }, _cmd_diffract),
+    "classify-primes": ("prime class/unit/exponent table", {
+        **_COMMON,
+        "limit": (int, 200, False, None, "scan primes below this"),
+    }, _cmd_classify_primes),
+    "spectrum": ("verdicts for rational wave vectors", {
+        **_COMMON, **_TILES,
+        "q": (str, None, True, None, "comma list of rationals"),
+    }, _cmd_spectrum),
+    "profile": ("log-periodic profile samples", {
+        **_COMMON, **_PRIME,
+        "j": (int, 0, False, None, None),
+        "horizon": (int, 20, False, None, None),
+        "resolution": (int, 256, False, None, None),
+    }, _cmd_profile),
+    "rarefy": ("rarefied sum vectors", {
+        **_COMMON, **_PRIME,
+        "limit": (int, 32, False, None, "largest argument n"),
+    }, _cmd_rarefy),
+    "marcinkiewicz": ("averaged-weight pseudo-norm", {
+        **_COMMON,
+        "weights": (str, "ones", False, None, f"weight family: {', '.join(_WEIGHT_FAMILIES)}"),
+        "horizon": (int, 16, False, None, "log2 horizon"),
+        "seed": (int, 0, False, None, "seed of the random family"),
+    }, _cmd_marcinkiewicz),
 }
 
 
-def _build_parser() -> _Parser:
-    """The tmqc parser with all seven subcommands: about 2.1 ms to build on
-    a 2-core Xeon box.  `_parse_args` builds it only to print or refuse a
-    command line that names no subcommand; it is also the reference that
-    the tests hold `_parse_args` to."""
-    top = _Parser(prog="tmqc", description=__doc__,
-                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("--config", help="JSON file mirroring flags; flags override")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _common(p)
-        add_flags(p)
-    return top
-
-
-def _command_parser(name: str) -> _Parser:
-    """The parser of subcommand `name` alone, as `_build_parser` makes it
-    (about 0.4 ms to build)."""
-    p = _Parser(prog=f"tmqc {name}")
-    _common(p)
-    _SUBCOMMANDS[name][1](p)
-    return p
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """The command line, read by two parsers: a head parser with the
-    top-level options and a positional that takes the subcommand and
-    everything after it, then that subcommand's own parser.  A line whose
-    head names no subcommand (help before the command, no command, an
-    unknown one, a malformed top-level option) goes to the full parser,
-    which prints or refuses it.
+def _parse_args(argv: list):
+    """The command line, read from the flag table where it has the usual
+    shape (`_table_args`), and by argparse otherwise (`_argparse_args`).
+    argparse prints every help text and makes every refusal, so the two
+    routes give one outcome, byte for byte, on any line.
 
     A JSON config (`--config`) gives each key that names a flag of the
     subcommand as a `--flag=value` token before the command line's own
-    flags.  argparse keeps a flag's last value, so the command line wins;
-    a config may supply a required flag, and each value meets its flag's
-    type and choices.  A value that is not a string or a number is
-    refused, a parse error of a config run names the config, and keys of
-    other subcommands are ignored, so one config can serve several.
+    flags.  A flag keeps its last value, so the command line wins; a config
+    may supply a required flag, and each value meets its flag's type and
+    choices.  A value that is not a string or a number is refused, a parse
+    error of a config run names the config, and keys of other subcommands
+    are ignored, so one config can serve several.
     """
-    head = _Parser(add_help=False)
+    args = _table_args(argv)
+    return _argparse_args(argv) if args is None else args
+
+
+def _plain_value(text: str) -> bool:
+    """Whether argparse takes `text` after a flag as the flag's value in
+    either spelling, `--flag text` or `--flag=text`: it does not start
+    with "-", or it is "-" and a digit (the `_Parser` rule)."""
+    return text[:1] != "-" or text[1:2].isdecimal()
+
+
+def _table_args(argv: list) -> types.SimpleNamespace | None:
+    """The attributes argparse sets for a line of the usual shape, read
+    from the flag table; None for any other line.  The shape: an optional
+    leading `--config FILE` or `--config=FILE`, spelled out in full, then a
+    subcommand, then only `--flag VALUE` or `--flag=VALUE` tokens for its
+    flags, each VALUE a `_plain_value` that passes the flag's type and
+    choices, with every required flag given.  Help, abbreviations, `--`,
+    stray tokens and refused values are left to argparse."""
+    config, rest = None, argv
+    if argv[:1] == ["--config"] and len(argv) > 1:
+        config, rest = argv[1], argv[2:]
+    elif argv and argv[0].startswith("--config="):
+        config, rest = argv[0][len("--config="):], argv[1:]
+    if config is not None and not (config and _plain_value(config)):
+        return None
+    if not rest or rest[0] not in _SUBCOMMANDS:
+        return None
+    name, tokens = rest[0], rest[1:]
+    flags = _SUBCOMMANDS[name][1]
+    if config is not None:
+        tokens = _config_tokens(config, name) + tokens
+    values = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+        spec = flags.get(flag[2:]) if flag[:2] == "--" else None
+        if spec is None or value is None or not _plain_value(value):
+            return None
+        kind, _, _, choices, _ = spec
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[flag[2:]] = value
+    for flag, (_, default, required, _, _) in flags.items():
+        if flag not in values:
+            if required:
+                return None
+            values[flag] = default
+    return types.SimpleNamespace(command=name, **values)
+
+
+@functools.cache
+def _parser_class() -> type:
+    """`_Parser`, argparse's parser with tmqc's rules.  It is made on first
+    use, so only a command line that goes to argparse imports it (with the
+    gettext and locale it loads)."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # a token of "-" and a digit is a value, such as the rational
+            # "-1/3" or the grid "-1/3:1/256:5"; argparse takes only plain
+            # negative integers and decimals for values, and no tmqc option
+            # starts with "-" and a digit
+            self._negative_number_matcher = re.compile(r"^-\d")
+
+        def error(self, message):  # exit 1 on usage errors, not argparse's 2
+            raise UsageError(message)
+
+    return _Parser
+
+
+def _add_flags(parser, flags: dict) -> None:
+    for flag, (kind, default, required, choices, help_text) in flags.items():
+        parser.add_argument(f"--{flag}", type=kind, default=default, required=required,
+                            choices=choices, help=help_text)
+
+
+def _build_parser():
+    """The tmqc parser with all seven subcommands: about 1 ms to build on a
+    2-core Xeon box, after about 0.9 ms to import argparse with gettext and
+    locale.  `_argparse_args` builds it only to print or refuse a
+    command line that names no subcommand; it is also the reference that
+    the tests hold `_parse_args` to."""
+    import argparse
+
+    top = _parser_class()(prog="tmqc", description=__doc__,
+                          formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("--config", help="JSON file mirroring flags; flags override")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in _SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), flags)
+    return top
+
+
+def _command_parser(name: str):
+    """The parser of subcommand `name` alone, as `_build_parser` makes it
+    (about 0.1 ms to build once argparse is imported)."""
+    parser = _parser_class()(prog=f"tmqc {name}")
+    _add_flags(parser, _SUBCOMMANDS[name][1])
+    return parser
+
+
+def _argparse_args(argv: list):
+    """The command line read by argparse, with two parsers: a head parser
+    with the top-level options and a positional that takes the subcommand
+    and everything after it, then that subcommand's own parser.  A line
+    whose head names no subcommand (help before the command, no command,
+    an unknown one, a malformed top-level option) goes to the full parser,
+    which prints or refuses it."""
+    import argparse
+
+    head = _parser_class()(add_help=False)
     head.add_argument("-h", "--help", action="store_true")
     head.add_argument("--config")
     head.add_argument("command", nargs=argparse.PARSER)
@@ -496,7 +560,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
     name, *flags = ns.command
     parser = _command_parser(name)
     if ns.config:
-        flags = _config_tokens(ns.config, parser) + flags
+        flags = _config_tokens(ns.config, name) + flags
     try:
         args = parser.parse_args(flags)
     except UsageError as exc:
@@ -507,30 +571,31 @@ def _parse_args(argv: list) -> argparse.Namespace:
     return args
 
 
-def _config_tokens(path: str, parser: _Parser) -> list:
+def _config_tokens(path: str, name: str) -> list:
     """`--flag=value` for each key of the JSON config at `path` that names
-    a flag of `parser`."""
+    a flag of subcommand `name`."""
     import json  # on demand, as in `_emit`
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer past 4300 digits;
+    # RecursionError: arrays or objects nested too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError("config must be a JSON object of flag values")
-    dests = {action.dest for action in parser._actions} - {"help"}
+    flags = _SUBCOMMANDS[name][1]
     tokens = []
     for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if attr not in dests:
+        if key not in flags:
             continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(
                 f"config value for {key!r} must be a string or a number, "
                 f"not {json.dumps(value)}"
             )
-        tokens.append(f"--{attr}={value}")
+        tokens.append(f"--{key}={value}")
     return tokens
 
 

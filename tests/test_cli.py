@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -421,6 +422,36 @@ class TestImports:
             "print(tmqc.cli.ProcessPoolExecutor is ProcessPoolExecutor)\n"
         )
         assert out.split() == ["False", "False", "True"]
+
+    def test_argparse_loads_only_for_help_and_refusals(self):
+        """A well-formed command line is read from the flag table: neither
+        the import nor the command loads argparse (with gettext and
+        locale), json or the pool machinery.  Help and refusals still come
+        from argparse."""
+        out = _fresh_python(
+            "import contextlib, io, sys\n"
+            "import tmqc.cli\n"
+            "budget = ('argparse', 'gettext', 'locale', 'json', 'concurrent.futures')\n"
+            "print(*[name in sys.modules for name in budget])\n"
+            "for argv in (['diffract', '--grid', '1/3,2/5', '--sizes', '64', '--jobs', '1'],\n"
+            "             ['spectrum', '--q', '1/9,1/17'], ['profile', '--p', '17', '--horizon', '8'],\n"
+            "             ['rarefy', '--p', '5', '--limit', '6']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert tmqc.cli.main(argv) == 0\n"
+            "print(*[name in sys.modules for name in budget])\n"
+            "for argv in (['spectrum', '-h'], ['spectrum', '--nope']):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = tmqc.cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    print(code, repr(out.getvalue()[:20]), repr(err.getvalue()))\n"
+        )
+        lines = out.splitlines()
+        assert lines[:2] == ["False False False False False"] * 2
+        assert lines[2:] == ["0 'usage: tmqc spectrum' ''",
+                             "1 '' 'error: the following arguments are required: --q\\n'"]
 
 
 def _first_difference(got, want):
@@ -988,7 +1019,7 @@ def _reference_parse(argv):
     try:
         with open(path, encoding="utf-8") as fh:
             conf = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise cli.UsageError(f"cannot read config {path!r}: {exc}") from exc
     (subparsers,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
     flags = subparsers.choices[name]._option_string_actions
@@ -1000,10 +1031,10 @@ def _reference_parse(argv):
 
 
 class TestLazyParser:
-    """Reading a command line with a head parser and the invoked
-    subcommand's parser changes nothing a user sees: help, usage errors,
-    exit codes and output equal the full parser's, byte for byte, with a
-    leading config read as the flags it mirrors."""
+    """Reading a command line from the flag table, or with a head parser
+    and the invoked subcommand's parser, changes nothing a user sees:
+    help, usage errors, exit codes and output equal the full parser's,
+    byte for byte, with a leading config read as the flags it mirrors."""
 
     @pytest.mark.parametrize("argv", _TOP_LEVEL_ARGVS + _SUBCOMMAND_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv, tmp_path, monkeypatch):
@@ -1016,32 +1047,136 @@ class TestLazyParser:
         assert _main_outcome(argv) == outcome
 
     def test_builds_one_subcommand(self, monkeypatch, capsys, tmp_path):
-        """A command line builds two parsers, the head and the invoked
-        subcommand's, and the full parser only where the head names no
+        """A well-formed command line is read from the flag table and
+        builds no parser; the full parser is built where the head names no
         subcommand."""
-        built, full = [], []
-        real_init, real_build = cli._Parser.__init__, cli._build_parser
+        built, calls = [], []
+        real_init = argparse.ArgumentParser.__init__
+        real_build, real_command = cli._build_parser, cli._command_parser
 
         def recording_init(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             real_init(self, *args, **kwargs)
 
         def recording_build():
-            full.append(True)
+            calls.append("full")
             return real_build()
 
-        monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+        def recording_command(name):
+            calls.append(name)
+            return real_command(name)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
         monkeypatch.setattr(cli, "_build_parser", recording_build)
+        monkeypatch.setattr(cli, "_command_parser", recording_command)
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps({"limit": 1}))
-        for argv, name in ((["spectrum", "--q", "1/3"], "spectrum"),
-                           (["--config", str(conf), "sequence"], "sequence")):
-            built.clear()
+        for argv in (["spectrum", "--q", "1/3"], ["--config", str(conf), "sequence"],
+                     ["--config=" + str(conf), "rarefy", "--p=5", "--format", "json"]):
             assert run_cli(argv, capsys)[0] == 0
-            assert built == [None, f"tmqc {name}"]
-        assert full == []
+            assert (built, calls) == ([], [])
         assert run_cli(["frobnicate"], capsys)[0] == 1
-        assert full == [True]
+        assert calls == ["full"] and "tmqc" in built
+
+
+# values that argparse reads, types, refuses or takes for an option
+_PARSE_VALUES = ["3", "1/3", "-1/3", "-5", "-x", "", " 5", "5_000", "xml", "json", "csv"]
+
+
+def _flag_spellings(name):
+    """The flags of subcommand `name` in full and every prefix of them,
+    unique or shared (`--h` is --help or --horizon), each flag with one
+    dash, three dashes and none, with flags of other subcommands,
+    `--config` and an unknown flag."""
+    flags = [f"--{flag}" for flag in cli._SUBCOMMANDS[name][1]] + ["--help"]
+    prefixes = {flag[:k] for flag in flags for k in range(3, len(flag) + 1)}
+    misspelt = {spelling for flag in flags for spelling in (flag[1:], "-" + flag, flag[2:])}
+    return sorted(prefixes | misspelt) + ["--seed", "--jobs", "--config", "--nope"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of one subcommand: an optional leading config (CONF
+    or BAD, spelled in full, with "=" or abbreviated), the subcommand, often
+    its required flags, then flags in full, abbreviated, with "=", with or
+    without a value, repeated, stray values and "--"; sometimes -h or
+    --help at any position.  Half the lines take only well-formed flags."""
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    table = cli._SUBCOMMANDS[name][1]
+    flag, value = st.sampled_from(_flag_spellings(name)), st.sampled_from(_PARSE_VALUES)
+    good = st.sampled_from([
+        tokens
+        for key, (kind, _, _, choices, _) in table.items()
+        for text in choices or (["3", "-5", " 5", "5_000"] if kind is int else ["3", "-1/3"])
+        for tokens in ([f"--{key}", text], [f"--{key}={text}"])
+    ])
+    item = st.one_of(
+        good,
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        flag.map(lambda f: [f]),
+        value.map(lambda v: [v]),
+        st.just(["--"]),
+    )
+    head = draw(st.sampled_from([[], [], ["--config", "CONF"], ["--config=CONF"],
+                                 ["--conf=CONF"], ["--config", "BAD"]]))
+    argv = head + [name]
+    if draw(st.booleans()):
+        argv += [token for key, (kind, _, required, _, _) in table.items() if required
+                 for token in (f"--{key}", "3" if kind is int else "1/3")]
+    items = st.lists(good if draw(st.booleans()) else item, max_size=4)
+    argv += [token for tokens in draw(items) for token in tokens]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+class TestParseEquivalence:
+    """The flag table and argparse read any command line alike: exit code,
+    stdout and stderr equal the full parser's."""
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(argv=_command_lines())
+    @example(argv=["--config", "CONF", "profile", "--p", "5", "--p=3", "--horizon", " 5"])
+    @example(argv=["diffract", "--grid", "-1/3", "--sizes=5_000", "--format=json"])
+    @example(argv=["spectrum", "--q=", "--a", "3", "--out", ""])
+    @example(argv=["--config", "BAD", "sequence", "--limit", "2"])
+    def test_same_outcome_as_the_full_parser(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"CONF": _CONFIG, "BAD": {"limit": "x", "format": "xml"}}
+            for key, conf in paths.items():
+                paths[key] = os.path.join(tmp, f"{key}.json")
+                with open(paths[key], "w", encoding="utf-8") as fh:
+                    json.dump(conf, fh)
+            argv = [paths.get(token, token) for token in argv]
+            argv = [token.replace("=CONF", "=" + paths["CONF"]) for token in argv]
+            cwd = os.getcwd()
+            os.chdir(tmp)  # --out writes its table here
+            try:
+                outcome = _main_outcome(argv)
+                with mock.patch.object(cli, "_parse_args", _reference_parse):
+                    assert _main_outcome(argv) == outcome
+            finally:
+                os.chdir(cwd)
+
+    @pytest.mark.parametrize("argv", [
+        ["--config=", "sequence"], ["--config", "", "sequence"], ["--conf=CONF", "sequence"],
+        ["--config=-1", "sequence"], ["--config", "-1", "sequence"],
+        ["--config", "-x", "sequence"], ["spectrum", "--q", "-x"], ["spectrum", "--q", "-x y"],
+        ["spectrum", "--q=-x"], ["spectrum", "--q", "1/3", "-q", "1"],
+        ["sequence", "limit", "2"], ["rarefy", "---p", "3"], ["profile", "-p", "3"],
+    ], ids=repr)
+    def test_same_outcome_as_the_argparse_route(self, argv, tmp_path, monkeypatch):
+        """Odd configs and spellings, read with the table and with
+        argparse alone; the reference above cannot spell an empty
+        config."""
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(_CONFIG))
+        argv = [token.replace("CONF", str(conf)) for token in argv]
+        monkeypatch.chdir(tmp_path)
+        outcome = _main_outcome(argv)
+        monkeypatch.setattr(cli, "_table_args", lambda argv: None)
+        assert _main_outcome(argv) == outcome
 
 
 class TestConfigChanges:
@@ -1093,3 +1228,11 @@ class TestConfigChanges:
         code, out, err = run_cli(["--config", path, "sequence", "--nope"], capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read config {path!r}: ")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200_000], ids=["bytes", "nesting"])
+    def test_undecodable_config_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["--config", str(path), "sequence"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config {str(path)!r}: ")
