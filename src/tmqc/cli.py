@@ -58,6 +58,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
 
 
+# a wave vector at one size costs about 620 bytes of peak memory and 11 us
+# (measured at 10^5 and 4 10^5): 2.6 GB and 45 s at 2^22
+MAX_GRID_COUNT = 1 << 22
+
+
 def _parse_grid(spec: str) -> list:
     """Comma list of rationals, or "start:step:count"."""
     spec = spec.strip()
@@ -74,6 +79,8 @@ def _parse_grid(spec: str) -> list:
             raise UsageError("grid count must be an integer") from exc
         if count < 0:
             raise UsageError("grid count must be >= 0")
+        if count > MAX_GRID_COUNT:  # refused before the grid is built
+            raise UsageError(f"grid count must be at most 2^22 = {MAX_GRID_COUNT}")
         # start + i * step as running sums: the same exact values, one
         # Fraction addition each instead of a product and a sum
         return list(accumulate(repeat(step, count), initial=start))[:count]
@@ -151,7 +158,14 @@ def _write(text: str, out_path: str | None) -> None:
 # finished text instead
 # ---------------------------------------------------------------------------
 
+# a row costs about 210 bytes of peak memory and 8 us (measured at 10^5 and
+# 10^6 rows): 3.5 GB and 2 minutes at 2^24
+MAX_SEQUENCE_LIMIT = 1 << 24
+
+
 def _cmd_sequence(args) -> tuple:
+    if args.limit > MAX_SEQUENCE_LIMIT:  # refused before any row is made
+        raise UsageError(f"--limit must be at most 2^24 = {MAX_SEQUENCE_LIMIT}")
     rows = [
         (n, tmcore.digit_sum(n), tmcore.tm_sign(n), str(tmcore.point(n, args.params)))
         for n in range(args.limit + 1)
@@ -559,12 +573,12 @@ def _argparse_args(argv: list):
         return _build_parser().parse_args(argv)
     name, *flags = ns.command
     parser = _command_parser(name)
-    if ns.config:
+    if ns.config is not None:  # an empty path too: it names no file
         flags = _config_tokens(ns.config, name) + flags
     try:
         args = parser.parse_args(flags)
     except UsageError as exc:
-        if not ns.config:
+        if ns.config is None:
             raise
         raise UsageError(f"config {ns.config!r}: {exc}") from exc
     args.command = name

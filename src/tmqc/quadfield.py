@@ -1,11 +1,11 @@
 """Prime classification by the order of 2, and real-quadratic-field
 invariants entering the rarefaction exponents.
 
-Odd primes split by s = ord_2(p) in (Z/pZ)*:
+Odd primes split by s = ord_2(p) in (Z/pZ)*, with beta = log2 lambda_1 / s:
 
-  P1   s = p-1                     lambda_1 = p,              beta = log p / ((p-1) log 2)
-  P21  s = (p-1)/2, p = 1 (mod 4)  lambda_1 = eps^h sqrt(p),  beta = (log p + 2h log eps) / ((p-1) log 2)
-  P23  s = (p-1)/2, p = 3 (mod 4)  lambda_1 = sqrt(p),        beta = log p / ((p-1) log 2)
+  P1   s = p-1                     lambda_1 = p,              lambda_2 = 0
+  P21  s = (p-1)/2, p = 1 (mod 4)  lambda_1 = sqrt(p) eps^h,  lambda_2 = sqrt(p) eps^-h
+  P23  s = (p-1)/2, p = 3 (mod 4)  lambda_1 = lambda_2 = sqrt(p)
 
 For P21 the class number h and fundamental unit eps of Q(sqrt p) enter through
 the analytic identity 2 h log eps = sqrt(p) L(1, chi_p), with chi_p the
@@ -266,14 +266,18 @@ def dirichlet_l_one(p: int) -> float:
     return -2.0 * math.fsum(parts) / math.sqrt(p)
 
 
+# the analytic class number must lie this close to an integer
+CLASS_NUMBER_TOL = 1e-6
+
+
 @functools.lru_cache(maxsize=16)
-def class_number(p: int, tol: float = 1e-6) -> int:
+def class_number(p: int, tol: float = CLASS_NUMBER_TOL) -> int:
     """h = sqrt(p) L(1, chi_p) / (2 log eps) for a prime p = 1 (mod 4),
     rounded, from one unit and one L-value.  The pre-rounding value must
-    lie within tol of an integer (ClassNumberDriftError otherwise), and L
-    must obey Hua's bound L(1, chi_p) < log(p)/2 + 1 (ArithmeticError
-    otherwise).  Cached like `fundamental_unit`, so wave vectors over one
-    prime share its O(p) L-sum."""
+    lie within CLASS_NUMBER_TOL of an integer (ClassNumberDriftError
+    otherwise), and L must obey Hua's bound L(1, chi_p) < log(p)/2 + 1
+    (ArithmeticError otherwise).  Cached like `fundamental_unit`, so wave
+    vectors over one prime share its O(p) L-sum."""
     eps = fundamental_unit(p)
     l_value = dirichlet_l_one(p)
     raw = math.sqrt(p) * l_value / (2.0 * eps.log_value())
@@ -288,40 +292,40 @@ def class_number(p: int, tol: float = 1e-6) -> int:
 
 
 class PrimeClassRecord(NamedTuple):
-    """Classification record for one odd prime."""
+    """Classification record for one odd prime, its moduli in log2."""
 
     p: int
     s: int
     cls: PrimeClass
-    beta: float | None
-    lambda1: float | None
-    lambda2: float | None
+    log2_lambda1: float | None
+    log2_lambda2: float | None
     h: int | None = None
     epsilon: FundamentalUnit | None = None
     regulator: float | None = None
 
+    @property
+    def beta(self) -> float | None:
+        """log2 lambda_1 / s, None for Other primes."""
+        return None if self.log2_lambda1 is None else self.log2_lambda1 / self.s
+
 
 def prime_record(p: int) -> PrimeClassRecord:
-    """Full record: class, exponent and (for P21) field invariants, with h
-    from `class_number`.  beta is log p / ((p-1) log 2) for P1 and P23 and
-    (log p + 2 h log eps) / ((p-1) log 2) for P21; Other primes get None.
-    A P21 lambda1 = sqrt(p) eps^h beyond the float range reads inf."""
+    """Full record: class, s, and log2 lambda_1, log2 lambda_2 from the
+    closed forms above (None for Other primes); for P21 they are
+    log2(p)/2 +- h R / log 2, R = log eps, with h from `class_number`.  They
+    stay finite where lambda_1 or lambda_2 would leave the float range
+    (first at p = 99961)."""
     s = order_of_two(p)
     cls = _class_of(p, s)
+    if cls is PrimeClass.OTHER:
+        return PrimeClassRecord(p, s, cls, None, None)
     if cls is PrimeClass.P1:
-        return PrimeClassRecord(p, s, cls, math.log(p) / ((p - 1) * _LOG2), float(p), 0.0)
+        return PrimeClassRecord(p, s, cls, math.log2(p), -math.inf)
+    half = 0.5 * math.log2(p)
     if cls is PrimeClass.P23:
-        return PrimeClassRecord(p, s, cls, math.log(p) / ((p - 1) * _LOG2),
-                                math.sqrt(p), math.sqrt(p))
-    if cls is PrimeClass.P21:
-        h = class_number(p)
-        eps = fundamental_unit(p)
-        reg = eps.log_value()
-        try:
-            lam1 = math.exp(h * reg) * math.sqrt(p)
-        except OverflowError:  # h log eps above about 709, first at p = 99961
-            lam1 = math.inf
-        lam2 = math.exp(-h * reg) * math.sqrt(p)
-        beta = (math.log(p) + 2.0 * h * reg) / ((p - 1) * _LOG2)
-        return PrimeClassRecord(p, s, cls, beta, lam1, lam2, h, eps, reg)
-    return PrimeClassRecord(p, s, cls, None, None, None)
+        return PrimeClassRecord(p, s, cls, half, half)
+    h = class_number(p)
+    eps = fundamental_unit(p)
+    reg = eps.log_value()
+    shift = h * reg / _LOG2
+    return PrimeClassRecord(p, s, cls, half + shift, half - shift, h, eps, reg)

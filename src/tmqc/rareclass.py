@@ -34,8 +34,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .tmcore import _Frozen, number_text, sign_array, tm_sign
-from .quadfield import (PrimeClass, PrimeClassRecord, _factorize, is_prime, order_of_two,
-                        prime_record, primes_up_to, quadratic_character)
+from .quadfield import (PrimeClass, _factorize, is_prime, order_of_two, prime_record,
+                        primes_up_to, quadratic_character)
 
 __all__ = [
     "RarefiedVector",
@@ -437,17 +437,13 @@ def eigenvalues_explicit(p: int) -> list:
 
 
 class ScalingExponents(NamedTuple):
-    """beta from lambda_1; beta1 from the two-case lambda_2 rule.
-
-    The rule has a gap at lambda_2 = 1; in that boundary band beta1 is None
-    and `lambda2_boundary` is set instead of silently picking a branch.
-    """
+    """beta from lambda_1; beta1 from the two-case lambda_2 rule, None in
+    the boundary band of its gap at lambda_2 = 1 rather than either branch."""
 
     beta: float
     beta1: float | None
     lambda1: float
     lambda2: float
-    lambda2_boundary: bool = False
 
 
 class TransferMatrix(NamedTuple):
@@ -480,85 +476,107 @@ class TransferMatrix(NamedTuple):
 _LAMBDA2_BOUNDARY_TOL = 1e-9
 
 
-def _prime_record(p: int) -> PrimeClassRecord:
-    """`prime_record(p)`, the one lookup of the class, s and closed forms
-    that exponents and profiles read; p above MAX_SPECTRUM_P is refused first."""
+class _PrimeSpectrum(NamedTuple):
+    """What exponents and profiles read of one odd prime p <= MAX_SPECTRUM_P:
+    log2 of the two largest coset moduli, the exponents, the profile period
+    factor r and the refinement (k, scale = lambda_1^k, inf beyond the
+    float range)."""
+
+    p: int
+    s: int
+    cls: PrimeClass
+    r: int
+    log2_lambda1: float
+    log2_lambda2: float
+    exponents: ScalingExponents
+    k: int
+    scale: float
+
+
+def _prime_spectrum(p: int) -> _PrimeSpectrum:
+    """The one place that picks the route by the class of p, from one
+    `prime_record` lookup after p above MAX_SPECTRUM_P or not an odd prime
+    is refused.  P1, P21 and P23 take the record's closed forms, Other
+    primes the two largest moduli of the coset spectrum.
+
+    r is the least of 1, 2, 4 with xi^r real and positive, xi the dominant
+    eigenvalue: xi = |xi| (-i)^a, a = s + 2c mod 4, c the count of the
+    dominant coset's members above p/2 (the sign of its sine product); r = 1
+    at a = 0, 2 at a = 2, 4 at odd a.  P1 (a = 2(p - 1)) and P21 (the
+    non-residues, c = (p - 1)/4, a = p - 1) have a = 0; P23 has odd s.
+
+    k: 0 for Other primes, whose equal-modulus dominant cosets need not
+    contract; r where the moduli tie (P23: r doublings return to the fiber
+    with scale p^2, exactly); else the least k in [1, 80] with
+    (lambda_2/lambda_1)^k < 1e-12, geometric damping for P21 and k = 1 for
+    P1 (lambda_2 = 0: the remainder vanishes at even arguments and
+    M^2 = p M, exactly).
+    """
     _check_spectrum_prime(p)
-    return prime_record(p)
-
-
-def _exponents(rec: PrimeClassRecord) -> ScalingExponents:
-    """The exponents of the prime of `rec`; see `scaling_exponents`."""
-    if rec.beta is not None:
-        beta, lam1, lam2 = rec.beta, rec.lambda1, rec.lambda2
-        l2 = math.log2(lam2) if lam2 > 1.0 else 0.0
-    else:  # an Other prime has at least three cosets
-        sp = _coset_spectrum(rec.p)
+    rec = prime_record(p)
+    if rec.cls is PrimeClass.OTHER:     # at least three cosets
+        sp = _coset_spectrum(p)
         l1, l2 = sp.log2_moduli[:2].tolist()
-        beta, lam1, lam2 = l1 / rec.s, _exp2(l1), _exp2(l2)
-    if abs(lam2 - 1.0) <= _LAMBDA2_BOUNDARY_TOL:
-        return ScalingExponents(beta, None, lam1, lam2, lambda2_boundary=True)
-    return ScalingExponents(beta, l2 / rec.s if lam2 > 1.0 else 0.0, lam1, lam2)
+        r, k = (1, 4, 2, 4)[(sp.s + (2 if sp.signs[0] < 0 else 0)) % 4], 0
+    else:
+        l1, l2 = rec.log2_lambda1, rec.log2_lambda2
+        r = 4 if rec.cls is PrimeClass.P23 else 1
+        k = r if l1 == l2 else max(1, min(80, math.ceil(math.log2(1e-12) / (l2 - l1))))
+    lam2 = _exp2(l2)
+    beta1 = None if abs(lam2 - 1.0) <= _LAMBDA2_BOUNDARY_TOL else max(l2, 0.0) / rec.s
+    exps = ScalingExponents(l1 / rec.s, beta1, _exp2(l1), lam2)
+    return _PrimeSpectrum(p, rec.s, rec.cls, r, l1, l2, exps, k, _exp2(k * l1))
 
 
 def scaling_exponents(p: int) -> ScalingExponents:
     """(beta, beta1, lambda_1, lambda_2) for an odd prime p <= MAX_SPECTRUM_P,
-    from the one place that picks the route: P1, P21 and P23 primes read
-    the closed forms of `quadfield.prime_record`, Other primes the two
-    largest moduli of the coset spectrum.  beta1 = log2 lambda_2 / s where
-    lambda_2 > 1 (beta to rounding for P23), else 0.  The coset spectrum is
-    the closed forms' oracle in tests: its p - 1 logarithms cancel down to
-    log2 p, 3.0e-13 relative off at worst below p = 20000.  The closed forms
-    are within 2.5e-16 of 40 digits for P1, P21 and P23."""
-    return _exponents(_prime_record(p))
+    from `_prime_spectrum`'s log2 moduli l1, l2: beta = l1 / s, beta1 =
+    l2 / s where lambda_2 > 1 (beta for P23), else 0, and lambda = 2^l (inf
+    beyond the float range).  The closed forms are within 2.5e-16 of 40
+    digits; the coset spectrum, their oracle in tests, is 3.0e-13 relative
+    off at worst below p = 20000 (its p - 1 logarithms cancel to log2 p)."""
+    return _prime_spectrum(p).exponents
 
 
 def residue_exponent(p: int, t: int) -> float:
     """Growth exponent of the sign-sequence exponential sum at frequency t/p,
-    beta_t(p) = log2|mu_t| / s, for an odd prime p <= MAX_SPECTRUM_P.  It is
-    constant on cosets of <2>, so for primes with two cosets it genuinely
-    depends on the residue t: only the coset carrying lambda_1 grows at the
-    headline rate.  The route is picked from the class, as in
-    `scaling_exponents`; see `_residue_exponent`."""
-    return _residue_exponent(_prime_record(p), t)
+    beta_t(p) = log2|mu_t| / s, for an odd prime p <= MAX_SPECTRUM_P: constant
+    on the cosets of <2>, only the one carrying lambda_1 grows at the rate
+    beta.  See `_residue_exponent`."""
+    return _residue_exponent(_prime_spectrum(p), t)
 
 
-def _residue_exponent(rec: PrimeClassRecord, t: int) -> float:
-    """beta_t at a residue t not divisible by the prime of `rec`.
-
-    P1 has one coset of <2> and P23 two conjugate ones, so every t has the
-    record's beta.  For P21, <2> is the subgroup of quadratic residues, and
-    the two coset moduli sqrt(p) eps^(+-h) multiply to p: a non-residue t
-    (Euler's criterion, O(log p)) carries the record's beta bit for bit, a
-    residue (log p - 2 h log eps) / ((p-1) log 2).  An Other prime sums
-    log2|mu_t| over the orbit t 2^j mod p (j < s) alone, as in
-    `_orbit_log2`: O(s) numpy work and no coset table.  |mu_t| itself, which
-    leaves the float range at large s, is never formed.
-    """
-    p = rec.p
+def _residue_exponent(spec: _PrimeSpectrum, t: int) -> float:
+    """beta_t at a residue t not divisible by the prime of `spec`.  P1 has
+    one coset of <2>, so every t has beta.  With two (P21, P23), <2> is the
+    quadratic residues, which carry lambda_2: a residue t (Euler's
+    criterion) reads log2 lambda_2 / s, a non-residue beta.  Other primes
+    sum log2|mu_t| over the orbit t 2^j mod p (j < s) alone, as in
+    `_orbit_log2`, in O(s) and without forming |mu_t|."""
+    p, s = spec.p, spec.s
     if t % p == 0:
         raise ValueError("t must be nonzero mod p")
-    if rec.cls is PrimeClass.OTHER:
-        return float(_orbit_log2(t % p * _powers(2, rec.s, p) % p, p)) / rec.s
-    if rec.cls is PrimeClass.P21 and quadratic_character(t, p) == 1:
-        return (math.log(p) - 2.0 * rec.h * rec.regulator) / ((p - 1) * _LOG2)
-    return rec.beta
+    cosets = (p - 1) // s
+    if cosets > 2:
+        return float(_orbit_log2(t % p * _powers(2, s, p) % p, p)) / s
+    if cosets == 2 and quadratic_character(t, p) == 1:
+        return spec.log2_lambda2 / s
+    return spec.exponents.beta
 
 
 def odd_part_exponents(p: int, t: int) -> tuple:
     """(beta(p), beta_t(p) or None, source) for an odd p >= 3 and a residue
     t not divisible by p, the route picked here alone: `max_orbit_exponent`
     for a composite p ("orbit-formula", no beta_t), and for a prime one
-    `prime_record` lookup read by `scaling_exponents`' route and
-    `_residue_exponent` ("closed-form" for P1, P21 and P23, else
+    `_prime_spectrum` ("closed-form" for P1, P21 and P23, else
     "coset-spectrum").  p above MAX_SPECTRUM_P is refused before any O(p)
     work, prime or not."""
     check_spectrum_size(p)
     if not is_prime(p):
         return max_orbit_exponent(p), None, "orbit-formula"
-    rec = _prime_record(p)
-    source = "closed-form" if rec.beta is not None else "coset-spectrum"
-    return _exponents(rec).beta, _residue_exponent(rec, t), source
+    spec = _prime_spectrum(p)
+    source = "coset-spectrum" if spec.cls is PrimeClass.OTHER else "closed-form"
+    return spec.exponents.beta, _residue_exponent(spec, t), source
 
 
 class SizeIncreasingScan(NamedTuple):
@@ -578,24 +596,24 @@ def scan_size_increasing(limit: int) -> SizeIncreasingScan:
         raise ValueError("limit must be >= 3")
     hits = {cls: [] for cls in PrimeClass}
     for p in primes_up_to(limit - 1)[1:]:
-        rec = prime_record(p)
-        if _exponents(rec).beta > 0.5:
-            hits[rec.cls].append(p)
+        spec = _prime_spectrum(p)
+        if spec.exponents.beta > 0.5:
+            hits[spec.cls].append(p)
     return SizeIncreasingScan(limit, *(tuple(hits[cls]) for cls in PrimeClass))
 
 
 def transfer_matrix(p: int) -> TransferMatrix:
     """Build M from its column S_{p,*}(2^s) by the digit recursion
-    (`order_of_two` refuses all but odd primes), checked against row s of
-    the doubling-product table, Q_s[i] = S_{p,i}(2^s).  One O(p s) check
-    suffices: with the column right, S(2^s n) = M S(n) holds for every n,
+    (`_prime_spectrum` refuses all but odd primes <= MAX_SPECTRUM_P),
+    checked against row s of the doubling-product table, Q_s[i] =
+    S_{p,i}(2^s).  One O(p s) check suffices: with the column right, S(2^s n) = M S(n) holds for every n,
     since sum_{m < 2^s n} eta_m x^m = Q_s(x) sum_{a < n} eta_a x^(2^s a)
     and x^(2^s) = x mod x^p - 1."""
-    s = order_of_two(p)
-    col = tuple(_svec(p, 1 << s))
-    if list(col) != _table_vector(p, 1 << s):
+    spec = _prime_spectrum(p)
+    col = tuple(_svec(p, 1 << spec.s))
+    if list(col) != _table_vector(p, 1 << spec.s):
         raise ArithmeticError(f"transfer column disagrees with the doubling table at p={p}")
-    return TransferMatrix(p, s, col, tuple(eigenvalues_explicit(p)), scaling_exponents(p))
+    return TransferMatrix(p, spec.s, col, tuple(eigenvalues_explicit(p)), spec.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -603,53 +621,19 @@ def transfer_matrix(p: int) -> TransferMatrix:
 # ---------------------------------------------------------------------------
 
 def profile_period_factor(p: int) -> int:
-    """The integer r in the profile argument log n / (r s log 2): the smallest
-    r in {1, 2, 4} for which the dominant eigenvalue power xi^r is real and
-    positive, so that the interpolating profile has period one."""
-    return _period_factor(_prime_record(p))
+    """The integer r in the profile argument log n / (r s log 2), for which
+    the profile has period one (see `_prime_spectrum`)."""
+    return _prime_spectrum(p).r
 
 
-def _period_factor(rec: PrimeClassRecord) -> int:
-    """r from the class of `rec`.  The dominant eigenvalue is
-    xi = (-i)^s sign |xi| = |xi| (-i)^a, a = s + 2c mod 4 with sign = (-1)^c,
-    c the count of the dominant coset's members above p/2; r = 1 at a = 0,
-    2 at a = 2 and 4 at odd a.  P1: every residue, a = 2 (p - 1) = 0.
-    P21: the non-residues, closed under t -> p - t, c = (p - 1)/4 and
-    a = p - 1 = 0.  P23: s = (p - 1)/2 is odd.  Other: the coset spectrum."""
-    if rec.cls is PrimeClass.OTHER:
-        sp = _coset_spectrum(rec.p)
-        return (1, 4, 2, 4)[(sp.s + (2 if sp.signs[0] < 0 else 0)) % 4]
-    return 4 if rec.cls is PrimeClass.P23 else 1
-
-
-def _profile_refinement(rec: PrimeClassRecord, exps: ScalingExponents) -> tuple:
-    """(k, scale): the profile on the fiber of n is the refined integer
-    S_{p,j}(2^(ks) n) = (M^k S(n))_j over scale n^beta, for the prime, the
-    class and the exponents of one `_prime_record` lookup.
-
-    P1:  k = 1;               the remainder vanishes at even arguments and
-                              M^2 = p M, so S_j(2^s n) / (p n^beta) is exact.
-    P23: k = 4;               one doubling by M advances the profile argument
-                              by a quarter period (r = 4), four return to the
-                              fiber with scale lambda_1^4 = p^2; exact.
-    P21: k with               (lambda_2/lambda_1)^k < 1e-12; geometric
-                              damping of the bounded remainder.  Refused
-                              (ValueError) where lambda_1 is beyond the
-                              float range, first at p = 99961.
-    Other: no refinement (equal-modulus dominant cosets need not contract).
-    """
-    if rec.cls is PrimeClass.P1:
-        return 1, exps.lambda1
-    if rec.cls is PrimeClass.P23:
-        return 4, exps.lambda1**4
-    if rec.cls is PrimeClass.P21:
-        if math.isinf(exps.lambda1):
-            raise ValueError(f"p={rec.p}: the profile scale lambda1^k, "
-                             "lambda1 = sqrt(p) eps^h, is beyond the float range")
-        ratio = exps.lambda2 / exps.lambda1
-        k = max(1, min(80, math.ceil(math.log(1e-12) / math.log(ratio))))
-        return k, exps.lambda1**k
-    return 0, 1.0
+def _profile_spectrum(p: int) -> _PrimeSpectrum:
+    """`_prime_spectrum(p)`, refused where the profile scale is inf (first
+    at p = 99961, a P21 prime), before any doubling-table work."""
+    spec = _prime_spectrum(p)
+    if math.isinf(spec.scale):
+        raise ValueError(f"p={p}: the profile scale lambda1^k = 2^{spec.k * spec.log2_lambda1:.6g}"
+                         " is beyond the float range")
+    return spec
 
 
 class FractalProfile(NamedTuple):
@@ -677,16 +661,15 @@ class FractalProfile(NamedTuple):
 
 def profile_value(p: int, j: int, n: int) -> float:
     """The profile evaluated on the fiber of n (refined, see
-    `_profile_refinement`); exact up to rounding for the classes whose
+    `_prime_spectrum`); exact up to rounding for the classes whose
     remainder vanishes at even arguments."""
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rec = _prime_record(p)          # refuses p above MAX_SPECTRUM_P first
-    exps = _exponents(rec)
-    k_apps, scale = _profile_refinement(rec, exps)
-    return _table_vector(p, n << k_apps * rec.s)[j] / (scale * float(n) ** exps.beta)
+    spec = _profile_spectrum(p)     # refuses p above MAX_SPECTRUM_P first
+    return (_table_vector(p, n << spec.k * spec.s)[j]
+            / (spec.scale * float(n) ** spec.exponents.beta))
 
 
 # the largest horizon: `FractalProfile.n_samples` is an int64 array, so every
@@ -708,9 +691,10 @@ def fractal_profile(
     Each sample is one `_read_residue` walk over rows e < H (H the bit
     length of the largest sample) and rows ks + e of the doubling-product
     table, whose largest-sample vector is checked against the recursion.
+    beta, beta1, r, k and the scale come from one `_prime_spectrum` record
+    (moduli in log2); an inf scale is refused before any table work.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    spec = _profile_spectrum(p)     # refuses p above MAX_SPECTRUM_P first
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
     if not 1 <= horizon_exponent <= MAX_PROFILE_HORIZON:
@@ -720,11 +704,8 @@ def fractal_profile(
         )
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    rec = _prime_record(p)          # refuses p above MAX_SPECTRUM_P first
-    exps = _exponents(rec)
-    r, s, beta = _period_factor(rec), rec.s, exps.beta
-    period_bits = r * s
-    k_apps, scale = _profile_refinement(rec, exps)   # before any table work
+    r, s, exps, scale = spec.r, spec.s, spec.exponents, spec.scale
+    beta, period_bits, ks = exps.beta, r * s, spec.k * s
 
     ns = []
     for idx in range(resolution):
@@ -735,7 +716,7 @@ def fractal_profile(
             m += 1
     ns = [n for n in dict.fromkeys(ns) if 1 <= n <= 1 << horizon_exponent]  # first of each n
     n_top = max(ns)
-    ks, top = k_apps * s, n_top.bit_length()
+    top = n_top.bit_length()
     low, high = [], []
     for e, q in enumerate(_doubling_rows(p, ks + top)):
         if e < top:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -33,6 +34,45 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return header, [dict(zip(header, r)) for r in body]
+
+
+def _tmqc_process(argv):
+    """(exit code, stdout, stderr) of `tmqc argv` in a fresh interpreter
+    whose address space is capped at 2 GB, stopped after 20 s: a command
+    that builds a huge table ends in a MemoryError or a timeout, not in a
+    machine out of memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cap = 2 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run([sys.executable, "-m", "tmqc", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=limit,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestHugeInputs:
+    # refused before any list is built: the first ran past 20 s, the
+    # second ended in a MemoryError traceback under a 2 GB address space
+    @pytest.mark.parametrize("argv, message", [
+        (["sequence", "--limit", "100000000"], "--limit must be at most 2^24 = 16777216"),
+        (["diffract", "--grid", "0:1/256:1000000000", "--sizes", "8"],
+         "grid count must be at most 2^22 = 4194304"),
+    ], ids=["sequence", "diffract"])
+    def test_refused_at_once(self, argv, message):
+        assert _tmqc_process(argv) == (1, "", f"error: {message}\n")
+
+    def test_caps_are_inclusive(self, capsys):
+        with mock.patch.object(cli, "MAX_SEQUENCE_LIMIT", 3):
+            code, out, _ = run_cli(["sequence", "--limit", "3"], capsys)
+            assert code == 0 and len(out.splitlines()) == 5
+            assert run_cli(["sequence", "--limit", "4"], capsys)[0] == 1
+        with mock.patch.object(cli, "MAX_GRID_COUNT", 3):
+            code, out, _ = run_cli(["diffract", "--grid", "0:1/8:3", "--sizes", "8"], capsys)
+            assert code == 0 and len(out.splitlines()) == 4
+            assert run_cli(["diffract", "--grid", "0:1/8:4", "--sizes", "8"], capsys)[0] == 1
 
 
 class TestSequence:
@@ -686,31 +726,31 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("argv, digest", [
         (["profile", "--p", "3", *PROFILE],
-         "d51a86d38bbe73a946e314ad2c787cd38c288a91b0b1bceb8b12224db093ccaf"),
+         "1c9e48dbcc253374dbb193cd92427163952c46778dec61811d58dd16bdd05ffb"),
         (["profile", "--p", "7", *PROFILE],
-         "cd26b8f1ffa0f904329ac60caf75a20aa884a9a5d624636851170c991d3b1be8"),
+         "fe8b3eb829d7bfd5b2438c71d124b6d33a56c2bccd1295dcefe844856be0bd65"),
         (["profile", "--p", "17", "--j", "0", *PROFILE],
-         "ce89d0d59708548ae91bb5bc53d67bc080d9b0174c6c555f69a13676c9561e22"),
+         "596a5aa1e6e31e3d5d4f9e8991a80d400718b61d9817f50fff76ffefca05972d"),
         (["profile", "--p", "17", "--j", "5", *PROFILE],
-         "7cbe498a94551673d8d0d3d4d430c368d46741dc5501fb2b0e5575caec7f461d"),
+         "c3f8152c900e9ad737b0e70fc8b4ff8775de3a2f3d9468611886d8057933bce2"),
         (["profile", "--p", "17", "--j", "11", *PROFILE],
-         "fc119a66b0bacd179305b1c62266b0e47e331a9ae30f69842a3e28f5a1019883"),
+         "d147d218e86bc9ca3711bbb921e6f20fb67a7b55dc0e07a1ec18fb5d01459093"),
         (["profile", "--p", "43", *PROFILE],
          "592893ad111892dbffd444a8ef5323730cc930bc09d5d9269a7b884f2bd67088"),
         (["profile", "--p", "137", *PROFILE],
-         "c87851c9dc95b78b639b9143360ae767e569d77105bcfd6b45db1ac6266f96d7"),
+         "10187702c82693c41ebf621f13d3c4bdd2762564a53690860535da7c12effba9"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "csv"],
          "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
          "94c7d49393b954192547ecad4e9d45930818819356f511bef07cd8017855088d"),
         (["spectrum", "--q", VERDICTS, "--format", "csv"],
-         "1ce95aebc12a2efaba95a1ced26e7548327e657a9861ae67d64b1861c82f76f1"),
+         "af39635286d68a6328caf8243b0fde29e89c6ab6c7d0d5087fc1f145282f354b"),
         (["spectrum", "--q", VERDICTS, "--format", "json"],
-         "4ce0d8acca8a89fc9a2706c842fbef5c751eaec49bdeec1c6c8f1c5ed0544a56"),
+         "43e9bbbbb8031e1b82214e903b185aa739f97b4cd3417fcb4a072eb460c863ef"),
         (["classify-primes", "--limit", "20000"],
-         "5b46688424f97445c2a5e21bd4fe8e4388796ab06db3a5b41395502ca77e1d8d"),
+         "df1ff5a125e827f6f5bac6acf3829897f19092ee9af14654041f437ed4ca4182"),
         (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],
-         "747268d2bbeb29a0a0c71adc2703e029def3d4ca83d085758631df21ecf8a3c5"),
+         "c06a3795f861581b56d4c13827c9bc9db6c3de03a9169869ef2031a416862d8d"),
         (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
          "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
         (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES],
@@ -1222,6 +1262,14 @@ class TestConfigChanges:
         code, out, err = run_cli(["sequence", "--config", str(conf)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: unrecognized arguments: --config {conf}\n"
+
+    @pytest.mark.parametrize("argv", [["--config=", "sequence"], ["--config", "", "sequence"]],
+                             ids=["joined", "separate"])
+    def test_empty_config_path_is_usage_error(self, capsys, argv):
+        # an empty path names no file; both spellings ran with the defaults
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read config '': ")
 
     def test_unreadable_config_comes_before_the_line(self, capsys, tmp_path):
         path = str(tmp_path / "missing.json")

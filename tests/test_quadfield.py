@@ -208,17 +208,20 @@ class TestLFunctionAndClassNumber:
         for p in primes_up_to(10**6 - 1):
             if p < 980_000 or classify_prime(p) is not PrimeClass.P21:
                 continue
-            assert class_number(p, tol=1e-9) >= 1
+            h = class_number(p)
+            raw = math.sqrt(p) * dirichlet_l_one(p) / (2.0 * fundamental_unit(p).log_value())
+            assert h >= 1 and abs(raw - h) < 1e-9, p
             checked += 1
         assert checked == 126
 
     def test_prime_record_takes_h_from_class_number(self, monkeypatch):
         # class_number is the one route to h: a wrong h reaches the record
         real = class_number
-        monkeypatch.setattr(quadfield, "class_number", lambda p, tol=1e-6: real(p, tol) + 1)
+        monkeypatch.setattr(quadfield, "class_number", lambda p: real(p) + 1)
         rec = prime_record(17)
         assert rec.h == 2
-        assert rec.beta == (math.log(17) + 4 * rec.regulator) / (16 * LOG2)
+        assert rec.log2_lambda1 == 0.5 * math.log2(17) + 2 * rec.regulator / LOG2
+        assert rec.beta == rec.log2_lambda1 / 8
 
     def test_unit_is_computed_once_per_prime(self):
         fundamental_unit.cache_clear()
@@ -270,7 +273,11 @@ class TestLambda1BeyondTheFloatRange:
     def test_lambda1_reads_inf_and_beta_is_the_coset_spectrum_value(self):
         rec = prime_record(self.P)
         assert rec.cls.value == "P21" and rec.h * rec.regulator > 709.8
-        assert rec.lambda1 == math.inf and 0.0 < rec.lambda2 < 1e-300
+        # the record holds log2 lambda_1 above the float range and log2
+        # lambda_2 of a subnormal lambda_2, both to full precision
+        assert rec.log2_lambda1 > 1024.0 and rec.log2_lambda2 < -1022.0
+        assert abs(rec.log2_lambda1 + rec.log2_lambda2 - math.log2(self.P)) < 1e-12
+        assert rareclass.scaling_exponents(self.P).lambda1 == math.inf
         sp = rareclass._coset_spectrum(self.P)
         assert abs(rec.beta - sp.log2_moduli[0] / sp.s) < 1e-12
 
@@ -289,12 +296,37 @@ class TestLambda1BeyondTheFloatRange:
         assert beta_t[2] < 0.0 < rec.beta
 
 
+class TestLog2Record:
+    def test_p21_moduli_multiply_to_p(self):
+        # lambda_1 lambda_2 = p for every P21 prime below 2 10^5, in log2,
+        # including p = 99961 and beyond, where lambda_1 leaves the float
+        # range and lambda_2 is subnormal; the exponents take lambda_2 as 2
+        # to the record's log2
+        checked = 0
+        for p in primes_up_to(2 * 10**5):
+            if p % 4 != 1 or classify_prime(p) is not PrimeClass.P21:
+                continue
+            rec = prime_record(p)
+            assert abs(rec.log2_lambda1 + rec.log2_lambda2 - math.log2(p)) < 1e-12, p
+            assert rareclass.scaling_exponents(p).lambda2 == 2.0**rec.log2_lambda2, p
+            checked += 1
+        assert checked == 1687
+
+    def test_closed_forms_in_log2(self):
+        rec = prime_record(3)
+        assert (rec.log2_lambda1, rec.log2_lambda2) == (math.log2(3), -math.inf)
+        rec = prime_record(7)
+        assert rec.log2_lambda1 == rec.log2_lambda2 == 0.5 * math.log2(7)
+        rec = prime_record(43)
+        assert (rec.log2_lambda1, rec.log2_lambda2, rec.beta) == (None, None, None)
+
+
 class TestCrossConsistency:
     def test_lambda1_matches_transfer_spectrum(self):
         for p in (17, 41, 97, 137, 193):
             rec = prime_record(p)
             lam1 = max(abs(x) for x in rareclass.eigenvalues_explicit(p))
-            assert rec.lambda1 == pytest.approx(lam1, rel=1e-6)
+            assert 2.0**rec.log2_lambda1 == pytest.approx(lam1, rel=1e-6)
 
     def test_p1_spectrum_is_p(self):
         for p in (3, 5, 11, 13):

@@ -234,7 +234,8 @@ def _profile_by_apply(p, j, horizon_exponent, resolution):
     mat = transfer_matrix(p)
     beta = mat.exponents.beta
     period_bits = profile_period_factor(p) * mat.s
-    k_apps, scale = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
+    spec = rareclass._prime_spectrum(p)
+    k_apps, scale = spec.k, spec.scale
     xs, vals, raws, ns = [], [], [], []
     seen = set()
     for idx in range(resolution):
@@ -277,7 +278,8 @@ class TestProfileBitIdentity:
     @pytest.mark.parametrize("p", [3, 7, 17, 41, 43])
     def test_profile_value_matches_apply_loop(self, p):
         mat = transfer_matrix(p)
-        k_apps, scale = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
+        spec = rareclass._prime_spectrum(p)
+        k_apps, scale = spec.k, spec.scale
         for n in (1, 6, 1001, (1 << 45) + 3, (1 << 70) + 12345):
             refined = rareclass._svec(p, n)
             for _ in range(k_apps):
@@ -291,7 +293,7 @@ class TestProfileBitIdentity:
         # the refined read of the doubling table is the generator M^k applied
         # to S(n), for n up to and past 2^62
         mat = transfer_matrix(p)
-        k_apps, _ = rareclass._profile_refinement(quadfield.prime_record(p), mat.exponents)
+        k_apps = rareclass._prime_spectrum(p).k
         ks = k_apps * mat.s
         ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 70) + 12345]
         rows = list(rareclass._doubling_rows(p, ks + max(ns).bit_length()))
@@ -322,9 +324,18 @@ class TestProfileBitIdentity:
         monkeypatch.setattr(rareclass.TransferMatrix, "apply",
                             lambda self, vec: calls.append(1) or real(self, vec))
         prof = fractal_profile(17, 0, 40, resolution=64)
-        rec = quadfield.prime_record(17)
-        assert rareclass._profile_refinement(rec, scaling_exponents(17))[0] > 0
+        assert rareclass._prime_spectrum(17).k > 0
         assert len(prof.n_samples) > 0 and calls == []
+
+    def test_refinement_from_the_log2_moduli(self):
+        # k from (lambda_2/lambda_1)^k < 1e-12 in log2: from p = 33289 on,
+        # lambda_2/lambda_1 underflows to 0 as floats ("math domain error"),
+        # while the scale lambda_1^k is finite up to p = 99961
+        for p, k in [(3, 1), (7, 4), (17, 7), (41, 4), (137, 2), (8009, 1), (43, 0)]:
+            assert rareclass._prime_spectrum(p).k == k, p
+        spec = rareclass._prime_spectrum(33289)
+        assert spec.k == 1 and spec.scale == 2.0**spec.log2_lambda1 < math.inf
+        assert rareclass._prime_spectrum(99961).scale == math.inf
 
     def test_other_class_profile_time_and_memory(self):
         # p = 8191 (Other class, no refinement): 448 samples of 49 bits over
@@ -541,7 +552,7 @@ class TestCosetSpectrum:
             rec = quadfield.prime_record(p)
             exps = scaling_exponents(p)
             assert (exps.beta, exps.lambda1, exps.lambda2) == (
-                rec.beta, rec.lambda1, rec.lambda2), p
+                rec.beta, 2.0**rec.log2_lambda1, 2.0**rec.log2_lambda2), p
             sp = rareclass._coset_spectrum(p)
             logs = sp.log2_moduli.tolist()
             assert abs(logs[0] / sp.s - rec.beta) <= 4e-13 * rec.beta, p
