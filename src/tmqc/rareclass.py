@@ -835,7 +835,8 @@ def grabner_composite(r1: int, r2: int, n_max: int) -> GrabnerReport:
     """Composite rarefaction p = 3^{r1} 5^{r2}: the residue-0 sum at arguments
     pN splits into the 3-power and 5-power parts up to a logarithmically
     bounded residual, and its growth is dominated by the exponent of the
-    prime 3, log 3 / (2 log 2)."""
+    prime 3, log 3 / (2 log 2).  `dominant_exponent` is the orbit formula's
+    `max_orbit_exponent(p)`; the tests fit it from the series as the oracle."""
     if r1 < 1 or r2 < 1:
         raise ValueError("need r1, r2 >= 1")
     if n_max < 2:
@@ -850,13 +851,6 @@ def grabner_composite(r1: int, r2: int, n_max: int) -> GrabnerReport:
     idx = p * N - 1
     resid = s_p[idx] - s_3[idx] / p5 - s_5[idx] / p3
     c_max = float(np.max(np.abs(resid[1:]) / np.log(N[1:])))
-    # dominant exponent: log-log fit over a window spanning whole periods of
-    # the log-4-periodic modulation, so the oscillation does not bias the slope
-    lo = max(2, n_max // 64)
-    sel = np.unique(np.round(np.logspace(math.log10(lo), math.log10(n_max), 80)).astype(int))
-    y = s_p[p * sel - 1].astype(float)
-    keep = y > 0
-    slope = float(np.polyfit(np.log(p * sel[keep].astype(float)), np.log(y[keep]), 1)[0])
     target = math.log(3.0) / (2.0 * _LOG2)
     resid_first = (
         Fraction(int(s_p[p - 1]))
@@ -867,7 +861,7 @@ def grabner_composite(r1: int, r2: int, n_max: int) -> GrabnerReport:
         r1=r1, r2=r2, p=p, n_max=n_max,
         residual_first=resid_first,
         c_max=c_max,
-        dominant_exponent=slope,
+        dominant_exponent=max_orbit_exponent(p),
         dominant_target=target,
         residuals=resid,
     )

@@ -10,19 +10,18 @@ Rational q = t/(2^h p) in lowest terms (p odd) determines everything:
 Only rational wave vectors are classified: an irrational one cannot be
 certified pointwise.
 
-The rarefaction domain at q = t/p is the image in the complex plane of the
-box of profile ranges under z = sum_j y_j xi^j with xi = exp(-2 pi i t/p);
-being the image of a box under a linear map it is a zonogon, so its extreme
-moduli are computed exactly from the boundary rather than by sampling.
+The rarefaction domain at q = t/p is the set of points
+sum_j psi_j(n) xi^j = S_n(t/p) / n^beta with xi = exp(-2 pi i t/p); its
+moduli are read from the sign-sum walk at the exact rational t/p, over the
+scanned n <= 2^H, so its answers hold over those n only.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,7 +186,10 @@ class HalvingReduction(NamedTuple):
 
 def halving_reduction(t: int, h: int, p: int, n: int) -> HalvingReduction:
     """Split the dyadic part of the denominator out of the sign-sequence
-    density at q = t/(2^h p); requires n > h."""
+    density at q = t/(2^h p); requires n > h.  Both densities come from
+    `diffract.eta_sums_at_sizes` at the exact rationals, which carries S_l
+    as a (mantissa, exponent) pair, so they stay finite wherever
+    |S_l|^2 / l does (1.5^1100 at q = 1/3, n = 1100)."""
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     if h < 0 or n <= h:
@@ -198,145 +200,79 @@ def halving_reduction(t: int, h: int, p: int, n: int) -> HalvingReduction:
     pref = 2.0**h
     for j in range(h):
         pref *= math.sin(math.pi * float(Fraction(t * (1 << j), (1 << h) * p) % 1)) ** 2
-    reduced = diffract.riesz_product(n - h, Fraction(t, p)) / 2.0 ** (n - h)
-    lhs = diffract.riesz_product(n, q_full) / 2.0**n
-    return HalvingReduction(t, h, p, n, pref, reduced, lhs)
+    (reduced,) = diffract.eta_sums_at_sizes(Fraction(t, p), [1 << (n - h)])
+    (lhs,) = diffract.eta_sums_at_sizes(q_full, [1 << n])
+    return HalvingReduction(t, h, p, n, pref, float(reduced), float(lhs))
 
 
 # ---------------------------------------------------------------------------
-# rarefaction domain (zonogon geometry)
+# rarefaction domain (the sign-sum walk)
 # ---------------------------------------------------------------------------
 
 class RarefactionDomain(NamedTuple):
-    """Image of the profile-range box under z = sum_j y_j xi^j.
-
-    Bounds are empirical profile ranges, so the domain is an estimate of the
-    true object; its extreme moduli over the zonogon are computed exactly.
-    """
+    """Extreme moduli of F(n) = |S_n(t/p)| / n^beta over the scanned n <= 2^H,
+    with the n attaining each (None where the domain is the point 0)."""
 
     p: int
     t: int
-    xi: complex
-    box_bounds: tuple
+    horizon_exponent: int
     min_mod: float
     max_mod: float
+    argmin_n: int | None
+    argmax_n: int | None
     contains_zero: bool
-    vertices: tuple
-    horizon_exponent: int = 0
 
 
-def _zonogon_vertices(center: np.ndarray, gens: list) -> list:
-    """Boundary vertices of center + sum of segments [-g, g], counterclockwise.
+def rarefaction_domain(t: int, p: int, horizon_exponent: int) -> RarefactionDomain:
+    """The rarefaction domain at q = t/p, read from the sign-sum walk.
 
-    Generators are flipped into the upper half-plane and sorted by angle;
-    walking them twice (once added, once subtracted) traces the boundary.
-    """
-    gens = [g for g in gens if math.hypot(g[0], g[1]) > 0.0]
-    if not gens:
-        return [(float(center[0]), float(center[1]))]
-    fixed = []
-    for g in gens:
-        ang = math.atan2(g[1], g[0])
-        if ang < 0 or (ang == 0 and g[0] < 0):
-            g = (-g[0], -g[1])
-            ang = math.atan2(g[1], g[0])
-        fixed.append((ang, g))
-    fixed.sort(key=lambda t: t[0])
-    start = np.array(center, dtype=float) - sum((np.array(g) for _, g in fixed), np.zeros(2))
-    verts = [start]
-    cur = start
-    for _, g in fixed:
-        cur = cur + 2.0 * np.array(g)
-        verts.append(cur)
-    for _, g in fixed:
-        cur = cur - 2.0 * np.array(g)
-        verts.append(cur)
-    return [(float(v[0]), float(v[1])) for v in verts[:-1]]
+    The domain's point sum_j psi_j(n) xi^j, xi = e^{-2 pi i t/p}, is
+    S_n(t/p) / n^beta, so its moduli are F(n) = sqrt(|S_n|^2 / n * n) / n^beta
+    with |S_n|^2 / n from `diffract.eta_sums_at_sizes` at the exact
+    Fraction(t, p), over every n <= 2^min(H, 14) and 64 log-spaced n per
+    octave up to 2^H.  At a dominant t (beta_t = beta, from one
+    `rareclass.odd_part_exponents` call) |S_{2^s n}| = 2^{s beta} |S_n|
+    exactly, so F is constant along each fibre n 2^{ks} and every finite-n
+    modulus is the domain's modulus on its fibre.  At a subdominant t the
+    sums grow at beta_t < beta, F tends to 0 on every fibre, and the domain
+    is the point 0.  The minimum is over the scanned n only: it bounds
+    inf F from above, so `contains_zero` (min_mod <= 1e-12) can miss a
+    deeper dip between the samples above 2^14.
 
-
-def _polygon_min_max_mod(verts: list, tol: float = 1e-12) -> tuple:
-    """(min |z|, max |z|, contains origin) for a convex polygon."""
-    pts = np.array(verts)
-    mods = np.hypot(pts[:, 0], pts[:, 1])
-    max_mod = float(mods.max())
-    if len(pts) == 1:
-        return float(mods[0]), max_mod, bool(mods[0] <= tol)
-    inside = True
-    sign = 0.0
-    m = len(pts)
-    for i in range(m):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % m]
-        cross = (bx - ax) * (0.0 - ay) - (by - ay) * (0.0 - ax)
-        if abs(cross) <= tol:
-            continue
-        if sign == 0.0:
-            sign = math.copysign(1.0, cross)
-        elif math.copysign(1.0, cross) != sign:
-            inside = False
-            break
-    if sign == 0.0:
-        # degenerate (all boundary edges collinear with the origin):
-        # decide by distance instead of winding
-        inside = False
-    min_mod = math.inf
-    for i in range(m):
-        a = pts[i]
-        b = pts[(i + 1) % m]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0.0 else float(np.clip(-(a @ ab) / denom, 0.0, 1.0))
-        closest = a + t * ab
-        min_mod = min(min_mod, float(math.hypot(*closest)))
-    if inside:
-        return 0.0, max_mod, True
-    return min_mod, max_mod, min_mod <= tol
-
-
-def rarefaction_domain(
-    t: int,
-    p: int,
-    horizon_exponent: int,
-    profiles: Sequence[rareclass.FractalProfile] | None = None,
-    resolution: int = 256,
-) -> RarefactionDomain:
-    """Build the rarefaction domain at q = t/p from empirical profile bounds.
-
-    The box [inf psi_j, sup psi_j]^p maps linearly onto a zonogon; min and
-    max modulus are taken on its boundary (max at a vertex, min at an edge
-    projection or zero if the origin is enclosed).
+    Refused with ValueError: p not an odd prime or above 2^23, t not
+    coprime to p, H outside [1, 62].
     """
     if not quadfield.is_prime(p) or p == 2:
         raise ValueError("rarefaction domains are built for odd primes")
     if math.gcd(t, p) != 1:
         raise ValueError("t must be coprime to p")
-    if profiles is None:
-        profiles = [
-            rareclass.fractal_profile(p, j, horizon_exponent, resolution=resolution)
-            for j in range(p)
-        ]
-    bounds = tuple(pr.bounds for pr in profiles)
-    xi = cmath.exp(-2j * math.pi * t / p)
-    dirs = [xi**j for j in range(p)]
-    center = np.array([0.0, 0.0])
-    gens = []
-    for (lo, hi), d in zip(bounds, dirs):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        center += np.array([mid * d.real, mid * d.imag])
-        gens.append((half * d.real, half * d.imag))
-    verts = _zonogon_vertices(center, gens)
-    min_mod, max_mod, contains = _polygon_min_max_mod(verts)
+    if not 1 <= horizon_exponent <= rareclass.MAX_PROFILE_HORIZON:
+        raise ValueError(
+            f"horizon_exponent must lie in [1, {rareclass.MAX_PROFILE_HORIZON}]"
+        )
+    beta, beta_t, _ = rareclass.odd_part_exponents(p, t % p)
+    if beta_t != beta:
+        return RarefactionDomain(p, t, horizon_exponent, 0.0, 0.0, None, None, True)
+    # every n <= 2^min(H, 14), then floor(2^(o + k/64)), k = 1..64, per octave o
+    ns = list(range(1, (1 << min(horizon_exponent, 14)) + 1))
+    for octave in range(14, horizon_exponent):
+        ns.extend(int(2.0 ** (octave + k / 64)) for k in range(1, 65))
+    sizes = np.asarray(ns, dtype=float)
+    mods = np.sqrt(diffract.eta_sums_at_sizes(Fraction(t, p), ns) * sizes) / sizes**beta
+    lo, hi = int(np.argmin(mods)), int(np.argmax(mods))
     return RarefactionDomain(
-        p=p, t=t, xi=xi, box_bounds=bounds,
-        min_mod=min_mod, max_mod=max_mod, contains_zero=contains,
-        vertices=tuple(verts), horizon_exponent=horizon_exponent,
+        p, t, horizon_exponent, float(mods[lo]), float(mods[hi]), ns[lo], ns[hi],
+        bool(mods[lo] <= 1e-12),
     )
 
 
 def extinction_possible(domain: RarefactionDomain) -> bool:
-    """True when the domain reaches the origin: only then can a subsequence
-    of approximants die at the singular wave vector.  When False, every
-    subsequence keeps nu_l / l^alpha bounded away from zero."""
+    """True when the domain reaches the origin, that is when the scanned
+    amplitude F(n) = |S_n(t/p)| / n^beta falls to 1e-12 or is the point 0
+    of a subdominant t: only then can a subsequence of approximants die at
+    the singular wave vector.  False means no scanned n <= 2^H comes that
+    close; min_mod bounds inf F from above, so this is no proof that
+    every subsequence keeps nu_l / l^alpha away from zero."""
     return domain.contains_zero
 
 

@@ -441,13 +441,25 @@ def test_criterion_14_marcinkiewicz_bound(params21):
 
 def test_criterion_15_composite_rarefaction(record_property):
     """p = 15: split residual stays below the fitted C log N over N <= 1e4;
-    the dominant fitted exponent is log3/(2 log 2) within 0.05."""
-    rep = rareclass.grabner_composite(1, 1, 10**4)
+    the reported exponent is the orbit formula's, and the log-log slope of
+    S_{15,0}(15 N), the oracle, is log3/(2 log 2) within 0.05."""
+    n_max = 10**4
+    rep = rareclass.grabner_composite(1, 1, n_max)
+    assert rep.dominant_exponent == rareclass.max_orbit_exponent(15)
+    # log-log fit over a window spanning whole periods of the log-4-periodic
+    # modulation, so the oscillation does not bias the slope
+    s_p = rareclass.rarefied_series(15, 0, 15 * n_max)
+    lo = max(2, n_max // 64)
+    sel = np.unique(np.round(np.logspace(math.log10(lo), math.log10(n_max), 80)).astype(int))
+    y = s_p[15 * sel - 1].astype(float)
+    keep = y > 0
+    fitted = float(np.polyfit(np.log(15 * sel[keep].astype(float)), np.log(y[keep]), 1)[0])
     record_property("fitted_C", rep.c_max)
-    record_property("dominant_exponent", rep.dominant_exponent)
+    record_property("dominant_exponent", fitted)
     assert np.all(
-        np.abs(rep.residuals[1:]) <= rep.c_max * np.log(np.arange(2, 10**4 + 1))
+        np.abs(rep.residuals[1:]) <= rep.c_max * np.log(np.arange(2, n_max + 1))
     )
     assert rep.c_max < 10.0
-    assert abs(rep.dominant_exponent - rep.dominant_target) <= 0.05
+    assert abs(fitted - rep.dominant_target) <= 0.05
+    assert abs(rep.dominant_exponent - rep.dominant_target) <= math.ulp(rep.dominant_target)
     assert rep.dominant_target == pytest.approx(0.7925, abs=1e-4)

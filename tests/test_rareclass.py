@@ -788,3 +788,10 @@ class TestGrabner:
         rep = grabner_composite(1, 1, 2000)
         assert rep.c_max < 5.0
         assert np.all(np.abs(rep.residuals[1:]) <= rep.c_max * np.log(np.arange(2, 2001)))
+
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3), (4, 1)])
+    def test_dominant_exponent_is_the_orbit_formula(self, r1, r2):
+        # p = 15 ... 405: the prime 3's exponent log 3 / (2 log 2), within 1 ulp
+        rep = grabner_composite(r1, r2, 2)
+        assert rep.dominant_exponent == rareclass.max_orbit_exponent(rep.p)
+        assert abs(rep.dominant_exponent - rep.dominant_target) <= math.ulp(rep.dominant_target)

@@ -2,6 +2,7 @@
 growth regimes and the averaged-weight machinery."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from tmqc.spectrum import (
     normalize_wavevector,
     rarefaction_domain,
 )
-from tmqc.tmcore import QuasicrystalParams
+from tmqc.tmcore import QuasicrystalParams, sign_array
 
 
 def _alpha(p, params, t=1, h=0):
@@ -344,6 +345,15 @@ class TestHalvingReduction:
             assert red.lhs == pytest.approx(rhs_direct, rel=1e-9, abs=1e-9)
             assert red.rhs == pytest.approx(red.lhs, rel=1e-9, abs=1e-9)
 
+    def test_finite_beyond_the_float_range_of_the_product(self):
+        # 4^n prod sin^2 overflows from n near 1024, 1.5^n at q = 1/3 does not
+        red = halving_reduction(1, 0, 3, 1100)
+        assert math.isfinite(red.lhs)
+        assert red.lhs == pytest.approx(red.rhs, rel=1e-9)
+        assert red.lhs == pytest.approx(1.5**1100, rel=1e-9)
+        red = halving_reduction(1, 2, 3, 1100)
+        assert red.lhs == pytest.approx(red.rhs, rel=1e-9)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             halving_reduction(1, 2, 3, 2)   # n <= h
@@ -351,28 +361,109 @@ class TestHalvingReduction:
             halving_reduction(3, 1, 3, 5)   # t shares a factor
 
 
+_DOMAIN_PRIMES = [p for p in quadfield.primes_up_to(211) if p > 2]
+
+
+def _domain_oracle(t, p, horizon):
+    """(min, max) of |S_n(t/p)| / n^beta over 1 <= n <= 2^horizon from one
+    cumsum of the signs times the roots e^{-2 pi i (m t mod p)/p}, with beta
+    from the orbit formula."""
+    m = np.arange(1 << horizon)
+    terms = sign_array(0, 1 << horizon) * np.exp(-2j * np.pi * (m * t % p) / p)
+    n = np.arange(1, (1 << horizon) + 1, dtype=float)
+    mods = np.abs(np.cumsum(terms)) / n ** rareclass.max_orbit_exponent(p)
+    return float(mods.min()), float(mods.max())
+
+
 class TestRarefactionDomain:
     def test_p3_geometry(self):
-        dom = rarefaction_domain(1, 3, 16, resolution=128)
-        assert dom.max_mod > 0
-        assert 1.0 < dom.max_mod < 1.3
-        # residue profiles: 0 strictly positive, 1 strictly negative,
-        # 2 touches zero; the domain still avoids the origin
-        (lo0, hi0), (lo1, hi1), (lo2, hi2) = dom.box_bounds
-        assert lo0 > 0
-        assert hi1 < 0
-        assert lo2 < 1e-9 and hi2 >= -1e-9
+        dom = rarefaction_domain(1, 3, 16)
+        assert (dom.p, dom.t, dom.horizon_exponent) == (3, 1, 16)
+        assert round(dom.min_mod, 4) == 0.8288
+        assert round(dom.max_mod, 4) == 1.0102
         assert not dom.contains_zero
-        assert dom.min_mod > 0.5
         assert (dom.min_mod <= 1e-12) == dom.contains_zero
+        # the extremes recur on their fibres, so a deeper horizon finds the same
+        deep = rarefaction_domain(1, 3, 62)
+        assert (deep.min_mod, deep.max_mod) == (dom.min_mod, dom.max_mod)
+
+    def test_p5_minimum_is_f5(self):
+        # |S_5(1/5)| / 5^beta with beta = log2(5)/4, from the direct sum
+        f5 = abs(diffract.eta_sum(5, 0.2)) / 5 ** (math.log2(5) / 4)
+        assert f5 == pytest.approx(0.485627008984356, rel=1e-12)
+        dom = rarefaction_domain(1, 5, 22)
+        assert dom.min_mod == pytest.approx(f5, rel=1e-12)
+        assert dom.argmin_n % 5 == 0 and dom.argmin_n // 5 & (dom.argmin_n // 5 - 1) == 0
+
+    @pytest.mark.parametrize("t, p", [(1, 5), (1, 7), (3, 17), (1, 11), (1, 13)])
+    def test_dominant_amplitude_stays_off_zero(self, t, p):
+        dom = rarefaction_domain(t, p, 22)
+        assert not extinction_possible(dom)
+        assert dom.min_mod > 1e-3
+        assert dom.argmin_n is not None and dom.argmax_n is not None
+
+    @pytest.mark.parametrize("t, p", [(1, 17), (3, 43)])
+    def test_subdominant_domain_is_the_point_zero(self, t, p):
+        assert rareclass.residue_exponent(p, t) < rareclass.scaling_exponents(p).beta
+        dom = rarefaction_domain(t, p, 16)
+        assert dom.min_mod == dom.max_mod == 0.0
+        assert dom.argmin_n is None and dom.argmax_n is None
+        assert dom.contains_zero and extinction_possible(dom)
+
+    @pytest.mark.parametrize("t, p", [(1, 3), (1, 5), (3, 17), (7, 43)])
+    def test_doubling_scales_by_the_exponent(self, t, p):
+        # |S_{2^s n}(t/p)| = 2^{s beta} |S_n(t/p)| at a dominant t
+        s = quadfield.order_of_two(p)
+        beta, beta_t, _ = rareclass.odd_part_exponents(p, t)
+        assert beta_t == beta
+        ns = list(range(1, 300)) + [(1 << 40) + 12345, (1 << 50) - 3]
+        q = Fraction(t, p)
+        base = diffract.eta_sums_at_sizes(q, ns) * np.asarray(ns, dtype=float)
+        up = diffract.eta_sums_at_sizes(q, [n << s for n in ns]) * np.asarray(
+            [float(n << s) for n in ns])
+        np.testing.assert_allclose(up / base, 2.0 ** (2 * s * beta), rtol=1e-12)
+
+    @given(p=st.sampled_from(_DOMAIN_PRIMES), pick=st.integers(0, 10**6),
+           horizon=st.integers(1, 10))
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    def test_matches_cumsum_oracle(self, p, pick, horizon):
+        beta = rareclass.max_orbit_exponent(p)
+        dominant = [t for t in range(1, p)
+                    if abs(rareclass.residue_exponent(p, t) - beta) <= 1e-12]
+        t = dominant[pick % len(dominant)]
+        dom = rarefaction_domain(t, p, horizon)
+        assert dom.argmin_n is not None
+        lo, hi = _domain_oracle(t, p, horizon)
+        assert dom.min_mod == pytest.approx(lo, abs=1e-9)
+        assert dom.max_mod == pytest.approx(hi, abs=1e-9)
+
+    def test_horizon_48_at_8191_is_fast(self):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            dom = rarefaction_domain(1365, 8191, 48)
+            times.append(time.perf_counter() - start)
+        assert dom.argmin_n is not None and 0.0 < dom.min_mod <= dom.max_mod
+        assert min(times) < 0.5
+
+    @pytest.mark.parametrize("t, p, horizon", [
+        (1, 9, 8), (1, 2, 8), (3, 3, 8), (1, 3, 0), (1, 3, 63), (1, 8388617, 8),
+    ])
+    def test_validation(self, t, p, horizon):
+        with pytest.raises(ValueError):
+            rarefaction_domain(t, p, horizon)
 
     def test_no_extinction_when_origin_excluded(self, params21):
-        dom = rarefaction_domain(1, 3, 16, resolution=128)
+        # nu_l / l^alpha = |kappa_eta| |T_L(2/3)|^2 / l^{2 beta} with
+        # L = floor(l/2) (`diffract.density_at_qs`), and
+        # |T_L(2/3)| = |S_L(1/3)| = F(L) L^beta, so the ratio is about
+        # |kappa_eta| 2^{-2 beta} F(L)^2
+        dom = rarefaction_domain(1, 3, 16)
         assert not extinction_possible(dom)
         alpha = _alpha(3, params21)
         k = params21.wave_vector(Fraction(1, 3))
-        ke2 = abs(diffract.kappa_eta_closed(k, params21)) ** 2
-        floor = ke2 * dom.min_mod**2
+        ke = abs(diffract.kappa_eta_closed(k, params21))
+        floor = ke * 2.0 ** -(alpha + 1) * dom.min_mod**2
         rng = np.random.default_rng(42)
         for _ in range(20):
             ns = np.unique(rng.integers(64, (1 << 22) // 3, size=12))
@@ -382,29 +473,16 @@ class TestRarefactionDomain:
             assert vals.min() > 0.9 * floor
 
     def test_scaling_upper_bound(self, params21):
-        # limsup of nu_l / l^alpha is bounded by |kappa_eta|^2 max_mod^2
-        dom = rarefaction_domain(1, 3, 20, resolution=256)
+        # limsup of nu_l / l^alpha is about |kappa_eta| 2^{-2 beta} max_mod^2
+        dom = rarefaction_domain(1, 3, 20)
         alpha = _alpha(3, params21)
         k = params21.wave_vector(Fraction(1, 3))
-        ke2 = abs(diffract.kappa_eta_closed(k, params21)) ** 2
+        ke = abs(diffract.kappa_eta_closed(k, params21))
         ns = np.unique(np.round(np.logspace(2, math.log10((1 << 22) // 3), 400)).astype(int))
         sizes = [int(3 * n + 1) for n in ns]
         dens = np.array([nu for nu, _ in diffract.density_at_q(Fraction(1, 3), sizes, params21)])
         vals = dens / np.asarray(sizes, dtype=float) ** alpha
-        assert vals.max() <= ke2 * dom.max_mod**2 * 1.05
-
-    def test_degenerate_domain_handling(self):
-        from tmqc.spectrum import _polygon_min_max_mod, _zonogon_vertices
-
-        pts = _zonogon_vertices(np.array([3.0, 4.0]), [])
-        mn, mx, inside = _polygon_min_max_mod(pts)
-        assert mn == mx == pytest.approx(5.0)
-        assert not inside
-        # a segment through the origin
-        pts = _zonogon_vertices(np.array([0.0, 0.0]), [(1.0, 0.0)])
-        mn, mx, inside = _polygon_min_max_mod(pts)
-        assert mn == pytest.approx(0.0, abs=1e-12)
-        assert mx == pytest.approx(1.0)
+        assert vals.max() <= ke * 2.0 ** -(alpha + 1) * dom.max_mod**2 * 1.05
 
 
 class TestGrowthRegime:
