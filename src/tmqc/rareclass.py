@@ -15,12 +15,13 @@ e_1 > e_2 > ... of n and c_i the sum of the bits above e_i,
 
     S_{p,j}(n) = sum_i (-1)^(i-1) Q_{e_i}[(j - c_i) mod p],
 
-and as 2^s = 1 mod p the refined S_{p,j}(2^(ks) n) reads rows e_i + ks at
-the same offsets.  Its oracles are plain summation and the binary digit
-recursion S_{p,i}(2m) = S_{p, i/2 mod p}(m) - S_{p, (i-1)/2 mod p}(m), plus
-eta_m at residue 2m mod p for an odd argument (from eta_{2m} = eta_m and
-eta_{2m+1} = -eta_m), exact in O(p log n).  A table of consecutive n is one
-running scan instead (`rarefied_rows`).
+and the profile, the projection (Pi S(n))_j onto M's dominant eigenspaces
+(`_projector`), reads rows pi * Q_e at the same offsets.  Its oracles are
+plain summation and the binary digit recursion S_{p,i}(2m) =
+S_{p, i/2 mod p}(m) - S_{p, (i-1)/2 mod p}(m), plus eta_m at residue 2m mod
+p for an odd argument (from eta_{2m} = eta_m and eta_{2m+1} = -eta_m),
+exact in O(p log n).  A table of consecutive n is one running scan instead
+(`rarefied_rows`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .tmcore import _Frozen, number_text, sign_array, tm_sign
-from .quadfield import (PrimeClass, _factorize, is_prime, order_of_two, prime_record,
-                        primes_up_to, quadratic_character)
+from .quadfield import (PrimeClass, _factorize, _legendre_half_table, is_prime, order_of_two,
+                        prime_record, primes_up_to, quadratic_character)
 
 __all__ = [
     "RarefiedVector",
@@ -100,17 +101,18 @@ def _svec(p: int, n: int) -> list:
     return s
 
 
-def _doubling_rows(p: int, count: int) -> Iterator[list]:
+def _doubling_rows(p: int, count: int, start: list | None = None) -> Iterator[list]:
     """Rows Q_0, ..., Q_{count-1} of the doubling-product table, the
     coefficients of Q_e(x) mod x^p - 1, so Q_e[i] = S_{p,i}(2^e).  Row e + 1
     is row e minus row e rotated by 2^e mod p; each row from e = 1 on is
-    checked, as it is built, to sum to Q_e(1) = 0."""
-    q = [1] + [0] * (p - 1)
+    checked, as it is built, to sum to Q_e(1) = 0.  From a float `start` row
+    v it gives the rows v * Q_e, unchecked: cyclic convolution commutes."""
+    q = start or [1] + [0] * (p - 1)
     for e in range(count):
         if e:
             sh = pow(2, e - 1, p)
             q = [a - b for a, b in zip(q, q[-sh:] + q[:-sh])]
-            if sum(q):
+            if start is None and sum(q):
                 raise ArithmeticError(f"doubling row {e} at p={p} sums to {sum(q)}, not 0")
         yield q
 
@@ -131,10 +133,10 @@ def _table_vector(p: int, n: int, rows: Iterable[list] | None = None) -> list:
 
 
 def _read_residue(p: int, n: int, lo: Sequence[list], hi: Sequence[list]) -> tuple:
-    """(S_{p,j}(n), S_{p,j}(2^(ks) n)) from rows 0, 1, ... (`lo`) and ks,
-    ks + 1, ... (`hi`) of the doubling-product table, pre-rotated to j:
-    row[c] = Q_e[(j - c) mod p].  One walk down the set bits e of n reads
-    both at c = (bits of n above e) mod p, two bits (signs + and -) a pass."""
+    """(S_{p,j}(n), the same sum over `hi`) from rows 0, 1, ... of the
+    doubling-product table (`lo`) and of the projected rows pi * Q_e (`hi`),
+    pre-rotated to j: row[c] = Q_e[(j - c) mod p].  One walk down the set bits
+    e of n reads both at c = (bits of n above e) mod p, two bits (+, -) a pass."""
     raw = refined = 0
     rest = n            # the bits of n at and below e
     while rest:
@@ -478,9 +480,8 @@ _LAMBDA2_BOUNDARY_TOL = 1e-9
 
 class _PrimeSpectrum(NamedTuple):
     """What exponents and profiles read of one odd prime p <= MAX_SPECTRUM_P:
-    log2 of the two largest coset moduli, the exponents, the profile period
-    factor r and the refinement (k, scale = lambda_1^k, inf beyond the
-    float range)."""
+    log2 of the two largest coset moduli, the exponents and the profile
+    period factor r."""
 
     p: int
     s: int
@@ -489,8 +490,6 @@ class _PrimeSpectrum(NamedTuple):
     log2_lambda1: float
     log2_lambda2: float
     exponents: ScalingExponents
-    k: int
-    scale: float
 
 
 def _prime_spectrum(p: int) -> _PrimeSpectrum:
@@ -504,28 +503,20 @@ def _prime_spectrum(p: int) -> _PrimeSpectrum:
     dominant coset's members above p/2 (the sign of its sine product); r = 1
     at a = 0, 2 at a = 2, 4 at odd a.  P1 (a = 2(p - 1)) and P21 (the
     non-residues, c = (p - 1)/4, a = p - 1) have a = 0; P23 has odd s.
-
-    k: 0 for Other primes, whose equal-modulus dominant cosets need not
-    contract; r where the moduli tie (P23: r doublings return to the fiber
-    with scale p^2, exactly); else the least k in [1, 80] with
-    (lambda_2/lambda_1)^k < 1e-12, geometric damping for P21 and k = 1 for
-    P1 (lambda_2 = 0: the remainder vanishes at even arguments and
-    M^2 = p M, exactly).
     """
     _check_spectrum_prime(p)
     rec = prime_record(p)
     if rec.cls is PrimeClass.OTHER:     # at least three cosets
         sp = _coset_spectrum(p)
         l1, l2 = sp.log2_moduli[:2].tolist()
-        r, k = (1, 4, 2, 4)[(sp.s + (2 if sp.signs[0] < 0 else 0)) % 4], 0
+        r = (1, 4, 2, 4)[(sp.s + (2 if sp.signs[0] < 0 else 0)) % 4]
     else:
         l1, l2 = rec.log2_lambda1, rec.log2_lambda2
         r = 4 if rec.cls is PrimeClass.P23 else 1
-        k = r if l1 == l2 else max(1, min(80, math.ceil(math.log2(1e-12) / (l2 - l1))))
     lam2 = _exp2(l2)
     beta1 = None if abs(lam2 - 1.0) <= _LAMBDA2_BOUNDARY_TOL else max(l2, 0.0) / rec.s
     exps = ScalingExponents(l1 / rec.s, beta1, _exp2(l1), lam2)
-    return _PrimeSpectrum(p, rec.s, rec.cls, r, l1, l2, exps, k, _exp2(k * l1))
+    return _PrimeSpectrum(p, rec.s, rec.cls, r, l1, l2, exps)
 
 
 def scaling_exponents(p: int) -> ScalingExponents:
@@ -626,24 +617,39 @@ def profile_period_factor(p: int) -> int:
     return _prime_spectrum(p).r
 
 
-def _profile_spectrum(p: int) -> _PrimeSpectrum:
-    """`_prime_spectrum(p)`, refused where the profile scale is inf (first
-    at p = 99961, a P21 prime), before any doubling-table work."""
-    spec = _prime_spectrum(p)
-    if math.isinf(spec.scale):
-        raise ValueError(f"p={p}: the profile scale lambda1^k = 2^{spec.k * spec.log2_lambda1:.6g}"
-                         " is beyond the float range")
-    return spec
+def _projector(spec: _PrimeSpectrum) -> list:
+    """pi, the column of the circulant projector Pi onto the eigenspaces of
+    M of modulus lambda_1 (the limit of M^(kr) / lambda_1^(kr)): pi[i] =
+    (1/p) sum_{t in D} cos(2 pi i t / p), D the t with |Q_s(zeta^t)| =
+    lambda_1.  P1 and P23 have D = all t != 0 (M = p Pi, M^4 = p^2 Pi), so
+    pi = delta - 1/p; P21 the non-residues, so by the Gauss sum sqrt p,
+    pi[i] = (p delta_i0 - 1 - chi_p(i) sqrt p) / (2p); Other primes the
+    `_coset_spectrum` rows tied at the top modulus, one Gaussian period per
+    coset of <2>: O(p) in all."""
+    p = spec.p
+    if spec.cls is PrimeClass.P21:      # chi_p(i) for i <= (p - 1)/2, even in i
+        chi = _legendre_half_table(p)
+        pi = (-1.0 - math.sqrt(p) * np.concatenate((chi, chi[:0:-1]))) / (2 * p)
+        pi[0] += 0.5
+    elif spec.cls is PrimeClass.OTHER:
+        sp = _coset_spectrum(p)
+        dominant = sp.cosets[sp.log2_moduli == sp.log2_moduli[0]].astype(np.int64)
+        pi = np.full(p, dominant.size / p)      # pi[0]; each coset row takes its period
+        pi[sp.cosets] = sum(np.cos(sp.cosets[:, :1] * row % p * (2 * math.pi / p))
+                            .sum(axis=1, keepdims=True) for row in dominant) / p
+    else:
+        pi = np.full(p, -1.0 / p)
+        pi[0] += 1.0
+    return pi.tolist()
 
 
 class FractalProfile(NamedTuple):
     """Samples of the log-periodic profile for one residue j.
 
-    `raw` holds S_{p,j}(n)/n^beta at x = frac(log n / (r s log 2)).
-    `values` holds the same samples with the bounded remainder iterated away
-    by k doublings, S_{p,j}(2^(ks) n) (exact for the classes whose remainder
-    vanishes at even arguments; geometrically damped otherwise), so `bounds`
-    estimates inf/sup of the profile itself rather than of the transient.
+    `raw` holds S_{p,j}(n)/n^beta at x = frac(log n / (r s log 2)), and
+    `values` the profile itself, (Pi S(n))_j / n^beta (`_projector`): the
+    limit of S_{p,j}(2^(krs) n) / (lambda_1^(kr) n^beta) on the fiber of n,
+    so `bounds` estimates inf/sup of the profile rather than of the transient.
     """
 
     p: int
@@ -660,53 +666,48 @@ class FractalProfile(NamedTuple):
 
 
 def profile_value(p: int, j: int, n: int) -> float:
-    """The profile evaluated on the fiber of n (refined, see
-    `_prime_spectrum`); exact up to rounding for the classes whose
-    remainder vanishes at even arguments."""
+    """The profile on the fiber of n, sum_i pi[(j - i) mod p] S_{p,i}(n) /
+    n^beta: the one-sample oracle of `fractal_profile`'s values, from the
+    digit recursion and `_projector` alone."""
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = _profile_spectrum(p)     # refuses p above MAX_SPECTRUM_P first
-    return (_table_vector(p, n << spec.k * spec.s)[j]
-            / (spec.scale * float(n) ** spec.exponents.beta))
+    spec = _prime_spectrum(p)       # refuses p above MAX_SPECTRUM_P first
+    pi = _projector(spec)
+    return (math.fsum(pi[j - i] * v for i, v in enumerate(_svec(p, n)))
+            / float(n) ** spec.exponents.beta)
 
 
 # the largest horizon: `FractalProfile.n_samples` is an int64 array, so every
 # sample n <= 2^horizon must lie below 2^63
 MAX_PROFILE_HORIZON = 62
+# a unit of resolution takes up to horizon // (r s) + 1 <= 32 samples (p = 3, horizon 62),
+# and a sample about 360 bytes and 8 us in `tmqc profile` (JSON, measured at 2^18 and 2^20
+# samples): 0.4 GB and 8 s at 2^15
+MAX_PROFILE_RESOLUTION = 1 << 15
 
 
-def fractal_profile(
-    p: int,
-    j: int,
-    horizon_exponent: int,
-    resolution: int = 1024,
-) -> FractalProfile:
+def fractal_profile(p: int, j: int, horizon_exponent: int,
+                    resolution: int = 1024) -> FractalProfile:
     """Sample S_{p,j}(n)/n^beta on a log-equidistributed grid.
 
     n runs over floor(2^{(m + x0) r s}) for a lattice of x0 in [0,1), capped
-    at 2^horizon_exponent <= 2^62.  A doubling by M advances log n by s log 2
-    exactly, so the refined value S_{p,j}(2^(ks) n) stays on the fiber of x.
-    Each sample is one `_read_residue` walk over rows e < H (H the bit
-    length of the largest sample) and rows ks + e of the doubling-product
-    table, whose largest-sample vector is checked against the recursion.
-    beta, beta1, r, k and the scale come from one `_prime_spectrum` record
-    (moduli in log2); an inf scale is refused before any table work.
+    at 2^horizon_exponent <= 2^62.  Each sample is one `_read_residue` walk
+    over rows e < H (H the bit length of the largest sample) of the
+    doubling-product table, whose largest-sample vector is checked against
+    the recursion, and of the projected rows pi * Q_e (`_projector`).
     """
-    spec = _profile_spectrum(p)     # refuses p above MAX_SPECTRUM_P first
+    spec = _prime_spectrum(p)       # refuses p above MAX_SPECTRUM_P first
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
     if not 1 <= horizon_exponent <= MAX_PROFILE_HORIZON:
-        raise ValueError(
-            f"horizon_exponent must lie in [1, {MAX_PROFILE_HORIZON}]: "
-            f"samples n up to 2^{MAX_PROFILE_HORIZON} fit the int64 sample array"
-        )
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    r, s, exps, scale = spec.r, spec.s, spec.exponents, spec.scale
-    beta, period_bits, ks = exps.beta, r * s, spec.k * s
-
+        raise ValueError(f"horizon_exponent must lie in [1, {MAX_PROFILE_HORIZON}]: samples n "
+                         f"up to 2^{MAX_PROFILE_HORIZON} fit the int64 sample array")
+    if not 1 <= resolution <= MAX_PROFILE_RESOLUTION:  # refused before any sample is made
+        raise ValueError(f"resolution must lie in [1, 2^15 = {MAX_PROFILE_RESOLUTION}]")
+    r, s, exps = spec.r, spec.s, spec.exponents
+    beta, period_bits = exps.beta, r * s
     ns = []
     for idx in range(resolution):
         x0 = idx / resolution
@@ -717,38 +718,28 @@ def fractal_profile(
     ns = [n for n in dict.fromkeys(ns) if 1 <= n <= 1 << horizon_exponent]  # first of each n
     n_top = max(ns)
     top = n_top.bit_length()
-    low, high = [], []
-    for e, q in enumerate(_doubling_rows(p, ks + top)):
-        if e < top:
-            low.append(q)
-        if e >= ks:
-            high.append(q)
+    low = list(_doubling_rows(p, top))
     if _table_vector(p, n_top, low) != _svec(p, n_top):
         raise ArithmeticError(f"doubling table disagrees with the digit recursion at n={n_top}")
-    lo, hi = ([q[j::-1] + q[:j:-1] for q in rows] for rows in (low, high))  # pre-rotated to j
+    lo, hi = ([q[j::-1] + q[:j:-1] for q in rows]      # pre-rotated to j
+              for rows in (low, _doubling_rows(p, top, _projector(spec))))
     xs, vals, raws = [], [], []
     for n in ns:
-        raw, refined = _read_residue(p, n, lo, hi)
+        raw, projected = _read_residue(p, n, lo, hi)
         nb = float(n) ** beta
         raws.append(raw / nb)
-        vals.append(refined / (scale * nb))
+        vals.append(projected / nb)
         xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
-    order = np.argsort(np.array(xs))
-    x_arr = np.array(xs)[order]
-    v_arr = np.array(vals)[order]
-    raw_arr = np.array(raws, dtype=float)[order]
+    order = np.argsort(xs)
+    x_arr, v_arr, raw_arr = (np.array(a)[order] for a in (xs, vals, raws))
     n_arr = np.array(ns, dtype=np.int64)[order]
-    # remainder constant: |S - n^beta psi| <= C n^{beta1}; with psi estimated
-    # by the refined value, the residual is the remainder itself
+    # remainder constant: |S - n^beta psi| <= C n^{beta1}; with psi the
+    # projected value, the residual is the remainder itself
     beta1 = exps.beta1 if exps.beta1 is not None else 0.0
     resid = np.abs(raw_arr - v_arr) * n_arr.astype(float) ** (beta - beta1)
-    c_fit = float(resid.max()) if len(resid) else 0.0
-    return FractalProfile(
-        p=p, j=j, r=r, s=s, beta=beta,
-        x=x_arr, values=v_arr, raw=raw_arr, n_samples=n_arr,
-        bounds=(float(v_arr.min()), float(v_arr.max())),
-        remainder_constant=c_fit,
-    )
+    return FractalProfile(p=p, j=j, r=r, s=s, beta=beta, x=x_arr, values=v_arr, raw=raw_arr,
+                          n_samples=n_arr, bounds=(float(v_arr.min()), float(v_arr.max())),
+                          remainder_constant=float(resid.max()))   # n = 1 is always a sample
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,15 @@ class TestHugeInputs:
         (["sequence", "--limit", "100000000"], "--limit must be at most 2^24 = 16777216"),
         (["diffract", "--grid", "0:1/256:1000000000", "--sizes", "8"],
          "grid count must be at most 2^22 = 4194304"),
-    ], ids=["sequence", "diffract"])
+        (["rarefy", "--p", "3", "--limit", "1000000000"],
+         "--limit and --p give a table of 4000000004 cells; it may hold at most "
+         "2^24 = 16777216"),
+        (["rarefy", "--p", "1000000000001", "--limit", "-1"],     # a row of p labels
+         "--limit and --p give a table of 1000000000002 cells; it may hold at most "
+         "2^24 = 16777216"),
+        (["profile", "--p", "3", "--horizon", "62", "--resolution", "100000000"],
+         "resolution must lie in [1, 2^15 = 32768]"),
+    ], ids=["sequence", "diffract", "rarefy", "rarefy-wide", "profile"])
     def test_refused_at_once(self, argv, message):
         assert _tmqc_process(argv) == (1, "", f"error: {message}\n")
 
@@ -73,6 +81,16 @@ class TestHugeInputs:
             code, out, _ = run_cli(["diffract", "--grid", "0:1/8:3", "--sizes", "8"], capsys)
             assert code == 0 and len(out.splitlines()) == 4
             assert run_cli(["diffract", "--grid", "0:1/8:4", "--sizes", "8"], capsys)[0] == 1
+        with mock.patch.object(cli, "MAX_RAREFY_CELLS", 12):     # (2 + 1)(3 + 1) cells
+            code, out, _ = run_cli(["rarefy", "--p", "3", "--limit", "2"], capsys)
+            assert code == 0 and len(out.splitlines()) == 4
+            assert run_cli(["rarefy", "--p", "3", "--limit", "3"], capsys)[0] == 1
+        with mock.patch.object(rareclass, "MAX_PROFILE_RESOLUTION", 2):  # n = 1, 2, 4
+            code, out, _ = run_cli(["profile", "--p", "3", "--horizon", "2",
+                                    "--resolution", "2"], capsys)
+            assert code == 0 and len(out.splitlines()) == 5
+            assert run_cli(["profile", "--p", "3", "--horizon", "2",
+                            "--resolution", "3"], capsys)[0] == 1
 
 
 class TestSequence:
@@ -621,15 +639,20 @@ class TestProfileCommand:
             ["profile", "--p", str(p), "--horizon", "20", "--resolution", "16"], capsys)
         assert (code, err) == (0, "") and out.startswith("x,psi,raw,n\n")
 
-    def test_p21_lambda1_beyond_the_float_range_is_usage_error(self, capsys, monkeypatch):
-        # lambda1 = sqrt(p) eps^h is inf at p = 99961, so the profile scale
-        # lambda1^k is too: refused before the doubling table, which at this
-        # p would take hours (it was "math domain error")
-        monkeypatch.setattr(rareclass, "_doubling_rows", None)
-        code, out, err = run_cli(
-            ["profile", "--p", "99961", "--horizon", "4", "--resolution", "1"], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: p=99961: ") and "beyond the float range" in err
+    @pytest.mark.parametrize("p, horizon, resolution", [(33289, 4, 1), (99961, 20, 64)])
+    def test_large_p21_primes_are_projected(self, capsys, p, horizon, resolution):
+        # lambda1 = sqrt(p) eps^h is inf at p = 99961: the profile reads no
+        # power of it, and builds rows below the largest sample's bit length
+        # only (33289 took 66 s over s + 5 rows; 99961 was refused)
+        start = time.perf_counter()
+        code, out, err = run_cli(["profile", "--p", str(p), "--horizon", str(horizon),
+                                  "--resolution", str(resolution)], capsys)
+        assert (code, err) == (0, "") and time.perf_counter() - start < 2.0
+        _, rows = parse_csv(out)
+        first = rows[0]
+        assert (first["n"], first["raw"]) == ("1", "1.0")
+        # at n = 1, S = delta: psi is pi[0] = (p - 1) / (2p)
+        assert float(first["psi"]) == pytest.approx((p - 1) / (2 * p), rel=1e-15)
 
     @pytest.mark.parametrize("flags, message", [
         (["--horizon", "0"], "horizon"),
@@ -707,7 +730,8 @@ class TestGoldenBytes:
     """sha256 of whole `profile`, `rarefy`, `spectrum`, `classify-primes`
     and `diffract` outputs, pinned so that a change of route keeps every
     byte.  The `profile` digests at p = 3, 7, 17 and 137 (P1, P23, P21)
-    pin the closed-form exponents; p = 43 (Other) the coset spectrum."""
+    pin the closed-form exponents and projectors; p = 43 (Other) the coset
+    spectrum and its projector."""
 
     PROFILE = ["--horizon", "48", "--resolution", "512"]
     GRID_SIZES = "1000,1024,3000,4096,12000,16384"  # the benchmark grid's sizes
@@ -726,19 +750,19 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("argv, digest", [
         (["profile", "--p", "3", *PROFILE],
-         "1c9e48dbcc253374dbb193cd92427163952c46778dec61811d58dd16bdd05ffb"),
+         "9eb8b3bcb90a6820892a0a42a57fb9c4fed54d093d54d9fafb2bcfdd0c8c4078"),
         (["profile", "--p", "7", *PROFILE],
-         "fe8b3eb829d7bfd5b2438c71d124b6d33a56c2bccd1295dcefe844856be0bd65"),
+         "35709be1dc868d6204d7f8a6c0ced9129c8eef32e76dce21d342282e48bad88a"),
         (["profile", "--p", "17", "--j", "0", *PROFILE],
-         "596a5aa1e6e31e3d5d4f9e8991a80d400718b61d9817f50fff76ffefca05972d"),
+         "12ba7d06a76bc39f5d621c80657c8ba952a33634ff305ea58a969ed36d07b538"),
         (["profile", "--p", "17", "--j", "5", *PROFILE],
-         "c3f8152c900e9ad737b0e70fc8b4ff8775de3a2f3d9468611886d8057933bce2"),
+         "42af1787400b3e10b114b9fa37ed52134fa2f8fdce171baa64772e3d9aceae2d"),
         (["profile", "--p", "17", "--j", "11", *PROFILE],
-         "d147d218e86bc9ca3711bbb921e6f20fb67a7b55dc0e07a1ec18fb5d01459093"),
+         "ffca9637fb0198d90fe0904ba886b9e9a4fbe0b63279c2eb0e51921edf61d858"),
         (["profile", "--p", "43", *PROFILE],
-         "592893ad111892dbffd444a8ef5323730cc930bc09d5d9269a7b884f2bd67088"),
+         "9abe47fb2e426f145c9a5969acedc622cae55263306731470fc6cd9cfc38d584"),
         (["profile", "--p", "137", *PROFILE],
-         "10187702c82693c41ebf621f13d3c4bdd2762564a53690860535da7c12effba9"),
+         "a8c847fd308d176247d4400dd48989876f5aa500648d14868a2161d2a2c8bffc"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "csv"],
          "db7a0c8fff0fecbbd9cf426810b4caf1f3fa576476691a525b9e990dcb363e12"),
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
@@ -750,9 +774,9 @@ class TestGoldenBytes:
         (["classify-primes", "--limit", "20000"],
          "df1ff5a125e827f6f5bac6acf3829897f19092ee9af14654041f437ed4ca4182"),
         (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],
-         "c06a3795f861581b56d4c13827c9bc9db6c3de03a9169869ef2031a416862d8d"),
+         "491835b59649e803ee548a9f9d162ad65922a56ff0cc0b1b3aa73434ab95cd81"),
         (["profile", "--p", "43", "--horizon", "30", "--format", "json"],
-         "f2e70b50d3721dcdf13f3f7a42823b53b9ade347ebe8f925ac6c5a50dca9714c"),
+         "bea265e9beae16de2d2e25bfed7f37e25a3337b3164ca524273b64e89c234baf"),
         (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES],
          "40f6234c4c74a1a00c04fc61784bf7310cd772c858f02bf660ce55b5c4f0d618"),
         (["diffract", "--grid", "1/3:1/256:257", "--sizes", GRID_SIZES, "--format", "json"],
