@@ -101,58 +101,65 @@ def _svec(p: int, n: int) -> list:
     return s
 
 
-def _doubling_rows(p: int, count: int, start: list | None = None) -> Iterator[list]:
-    """Rows Q_0, ..., Q_{count-1} of the doubling-product table, the
-    coefficients of Q_e(x) mod x^p - 1, so Q_e[i] = S_{p,i}(2^e).  Row e + 1
-    is row e minus row e rotated by 2^e mod p; each row from e = 1 on is
-    checked, as it is built, to sum to Q_e(1) = 0.  From a float `start` row
-    v it gives the rows v * Q_e, unchecked: cyclic convolution commutes."""
-    q = start or [1] + [0] * (p - 1)
+def _rotate(q: np.ndarray, c: int) -> np.ndarray:
+    """q rotated by c: row[i] = q[(i - c) mod p], 0 <= c < p."""
+    return np.concatenate((q[-c:], q[:-c]))
+
+
+def _doubling_rows(p: int, count: int, start: np.ndarray) -> Iterator[np.ndarray]:
+    """Rows v * Q_e, e < count, of the doubling-product table in the dtype of
+    the start row v (from v = delta_0, Q_e[i] = S_{p,i}(2^e)).  Row e + 1 is row
+    e minus row e rotated by 2^e mod p; readers check the rows they read."""
+    q = start
     for e in range(count):
         if e:
-            sh = pow(2, e - 1, p)
-            q = [a - b for a, b in zip(q, q[-sh:] + q[:-sh])]
-            if start is None and sum(q):
-                raise ArithmeticError(f"doubling row {e} at p={p} sums to {sum(q)}, not 0")
+            q = q - _rotate(q, pow(2, e - 1, p))
         yield q
 
 
-def _table_vector(p: int, n: int, rows: Iterable[list] | None = None) -> list:
-    """S_{p,*}(n) from rows Q_0, Q_1, ... (`_doubling_rows(p, n.bit_length())`
-    if not given): the sum over the set bits e_i of n of row e_i rotated by
-    c_i, signed by the parity of the bits above e_i.  Rows are read in
-    increasing e, so a generator of them is read in O(p) memory."""
-    vec = [0] * p
-    for e, q in zip(range(n.bit_length()), rows or _doubling_rows(p, n.bit_length())):
+def _check_row_sum(p: int, e: int, total) -> None:
+    """Row e >= 1 sums to Q_e(1) = 0, as q minus a rotation of q does."""
+    if e and total:
+        raise ArithmeticError(f"doubling row {e} at p={p} sums to {total}, not 0")
+
+
+def _table_vector(p: int, n: int, rows: Iterable[np.ndarray] | None = None) -> list:
+    """S_{p,*}(n) from rows Q_0, Q_1, ... (exact object rows if not given): the
+    sum over the set bits e_i of n of row e_i rotated by c_i, signed by the
+    parity of the bits above e_i.  Rows are read in increasing e, in O(p) memory."""
+    top = n.bit_length()
+    vec = 0
+    unit = np.eye(1, p, dtype=object)[0]
+    for e, q in zip(range(top), _doubling_rows(p, top, unit) if rows is None else rows):
         if n >> e & 1:
+            _check_row_sum(p, e, q.sum())
             head = n >> e + 1
-            c = (head << e + 1) % p
-            op = operator.sub if head.bit_count() & 1 else operator.add
-            vec = list(map(op, vec, q[-c:] + q[:-c]))
-    return vec
+            rotated = _rotate(q, (head << e + 1) % p)
+            vec = vec - rotated if head.bit_count() & 1 else vec + rotated
+    return np.broadcast_to(vec, p).tolist()     # n = 0 leaves vec at 0
 
 
-def _read_residue(p: int, n: int, lo: Sequence[list], hi: Sequence[list]) -> tuple:
-    """(S_{p,j}(n), the same sum over `hi`) from rows 0, 1, ... of the
-    doubling-product table (`lo`) and of the projected rows pi * Q_e (`hi`),
-    pre-rotated to j: row[c] = Q_e[(j - c) mod p].  One walk down the set bits
-    e of n reads both at c = (bits of n above e) mod p, two bits (+, -) a pass."""
-    raw = refined = 0
-    rest = n            # the bits of n at and below e
-    while rest:
-        e = rest.bit_length() - 1
-        c = (n - rest) % p
-        rest ^= 1 << e
-        raw += lo[e][c]
-        refined += hi[e][c]
-        if not rest:
-            break
-        e = rest.bit_length() - 1
-        c = (n - rest) % p
-        rest ^= 1 << e
-        raw -= lo[e][c]
-        refined -= hi[e][c]
-    return raw, refined
+def _read_samples(p: int, j, ns: Sequence[int], lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(S_{p,j}(n), the same sum over `hi`) for each n < 2^63 in `ns`, from the
+    (H, p) tables `lo` (rows Q_e) and `hi` (rows pi * Q_e), j an int or one per
+    sample.  Down e, the samples with bit e set add row e at (j - c) mod p, c
+    the bits above e, negated if those are odd in number: each sum changes
+    only at its own bits, from the top, as in a walk over one sample."""
+    if max(ns) >> 63:
+        raise ValueError("profile samples must lie below 2^63")
+    n = np.array(ns, dtype=np.int64)
+    sums = [np.zeros(len(n), dtype=table.dtype) for table in (lo, hi)]
+    at = np.full(len(n), j) % p                 # (j - bits of n above e) mod p
+    sign = np.ones(len(n), dtype=np.int64)      # -1 to the count of bits above e
+    for e in range(max(ns).bit_length() - 1, -1, -1):
+        hit = np.flatnonzero(n & 1 << e)
+        a, sg = at[hit], sign[hit]
+        for total, table in zip(sums, (lo, hi)):
+            total[hit] += table[e].take(a) * sg.astype(table.dtype, copy=False)
+        a -= pow(2, e, p)
+        at[hit] = a + (a >> 63 & p)
+        sign[hit] = -sg
+    return tuple(sums)
 
 
 def _check_sum_args(p: int, i: int, n: int) -> None:
@@ -683,8 +690,8 @@ def profile_value(p: int, j: int, n: int) -> float:
 # sample n <= 2^horizon must lie below 2^63
 MAX_PROFILE_HORIZON = 62
 # a unit of resolution takes up to horizon // (r s) + 1 <= 32 samples (p = 3, horizon 62),
-# and a sample about 360 bytes and 8 us in `tmqc profile` (JSON, measured at 2^18 and 2^20
-# samples): 0.4 GB and 8 s at 2^15
+# and a sample about 500 bytes and 4 us in `tmqc profile` (JSON, measured at 2^18 and 2^20
+# samples): 0.4 GB and 3 s at 2^15
 MAX_PROFILE_RESOLUTION = 1 << 15
 
 
@@ -693,11 +700,10 @@ def fractal_profile(p: int, j: int, horizon_exponent: int,
     """Sample S_{p,j}(n)/n^beta on a log-equidistributed grid.
 
     n runs over floor(2^{(m + x0) r s}) for a lattice of x0 in [0,1), capped
-    at 2^horizon_exponent <= 2^62.  Each sample is one `_read_residue` walk
-    over rows e < H (H the bit length of the largest sample) of the
-    doubling-product table, whose largest-sample vector is checked against
-    the recursion, and of the projected rows pi * Q_e (`_projector`).
-    """
+    at 2^horizon_exponent <= 2^62.  One `_read_samples` pass reads them all
+    off the rows e < H (H the bit length of the largest sample) of the int64
+    doubling-product table, checked by its row sums and largest-sample vector,
+    and of the float projected rows pi * Q_e (`_projector`)."""
     spec = _prime_spectrum(p)       # refuses p above MAX_SPECTRUM_P first
     if not 0 <= j < p:
         raise ValueError("residue j must lie in [0, p)")
@@ -708,30 +714,24 @@ def fractal_profile(p: int, j: int, horizon_exponent: int,
         raise ValueError(f"resolution must lie in [1, 2^15 = {MAX_PROFILE_RESOLUTION}]")
     r, s, exps = spec.r, spec.s, spec.exponents
     beta, period_bits = exps.beta, r * s
-    ns = []
-    for idx in range(resolution):
-        x0 = idx / resolution
-        m = 0
-        while (m + x0) * period_bits <= horizon_exponent:
-            ns.append(int(2.0 ** ((m + x0) * period_bits)))
-            m += 1
-    ns = [n for n in dict.fromkeys(ns) if 1 <= n <= 1 << horizon_exponent]  # first of each n
+    # t = (m + x0) r s <= horizon for x0 = idx / resolution, m >= 0, idx-major
+    # (first of each n kept); 2^0 = 1 and 2^horizon are exact, so 1 <= n <= 2^horizon
+    grid = (np.arange(horizon_exponent // period_bits + 1)
+            + np.arange(resolution)[:, None] / resolution).ravel() * period_bits
+    ns = list(dict.fromkeys(int(2.0 ** t) for t in grid[grid <= horizon_exponent].tolist()))
     n_top = max(ns)
     top = n_top.bit_length()
-    low = list(_doubling_rows(p, top))
-    if _table_vector(p, n_top, low) != _svec(p, n_top):
+    lo, hi = (np.fromiter(_doubling_rows(p, top, start), (start.dtype, p), top)
+              for start in (np.eye(1, p, dtype=np.int64)[0], np.array(_projector(spec))))
+    for e, total in enumerate(lo.sum(axis=1).tolist()):
+        _check_row_sum(p, e, total)
+    if _table_vector(p, n_top, lo) != _svec(p, n_top):
         raise ArithmeticError(f"doubling table disagrees with the digit recursion at n={n_top}")
-    lo, hi = ([q[j::-1] + q[:j:-1] for q in rows]      # pre-rotated to j
-              for rows in (low, _doubling_rows(p, top, _projector(spec))))
-    xs, vals, raws = [], [], []
-    for n in ns:
-        raw, projected = _read_residue(p, n, lo, hi)
-        nb = float(n) ** beta
-        raws.append(raw / nb)
-        vals.append(projected / nb)
-        xs.append(math.log(n) / (period_bits * _LOG2) % 1.0)
+    raw, projected = _read_samples(p, j, ns, lo, hi)
+    nb = np.array([float(n) ** beta for n in ns])
+    xs = np.array([math.log(n) for n in ns]) / (period_bits * _LOG2) % 1.0
     order = np.argsort(xs)
-    x_arr, v_arr, raw_arr = (np.array(a)[order] for a in (xs, vals, raws))
+    x_arr, v_arr, raw_arr = xs[order], (projected / nb)[order], (raw / nb)[order]
     n_arr = np.array(ns, dtype=np.int64)[order]
     # remainder constant: |S - n^beta psi| <= C n^{beta1}; with psi the
     # projected value, the residual is the remainder itself

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tmqc import quadfield, rareclass
@@ -346,3 +347,50 @@ class TestSizeIncreasingScan:
     def test_rejects_small_limit(self):
         with pytest.raises(ValueError):
             scan_size_increasing(2)
+
+
+def _hua_beta_bound(p):
+    """Hua's bound on beta for a P21 prime p: beta = (log p + 2hR) /
+    ((p - 1) log 2), and 2hR = sqrt(p) L(1, chi_p) < sqrt(p) (log p / 2 + 1)."""
+    return (np.log(p) + np.sqrt(p) * (np.log(p) / 2 + 1)) / ((p - 1) * LOG2)
+
+
+class TestClosedClassCertificate:
+    """beta > 1/2 in the closed-form classes exactly at p = 3, 5 and 17: P1
+    and P23 by beta = log p / ((p - 1) log 2), P21 by Hua's bound from
+    p = 126 on and by a finite check below it."""
+
+    def test_hua_bound_crosses_one_half_between_125_and_126(self):
+        assert round(float(_hua_beta_bound(125)), 4) == 0.5003
+        assert round(float(_hua_beta_bound(126)), 4) == 0.4987
+
+    def test_hua_bound_decreases_from_126(self):
+        """With N = log p + sqrt(p) (log p / 2 + 1), the bound N / ((p - 1) log 2)
+        falls where (p - 1) N' < N, and (p - 1) N' < p N' = N - (log p - 1 +
+        sqrt(p) log p / 4) < N for every p >= 3."""
+        p = np.geomspace(126.0, 1e15, 4001)
+        n_val = np.log(p) + np.sqrt(p) * (np.log(p) / 2 + 1)
+        n_prime = 1 / p + (np.log(p) + 4) / (4 * np.sqrt(p))
+        assert np.all((p - 1) * n_prime < n_val)         # the sign of the derivative
+        # N' is the derivative of N (central differences), and the bound falls
+        h = 1e-6 * p
+        numeric = (np.log(p + h) + np.sqrt(p + h) * (np.log(p + h) / 2 + 1)
+                   - np.log(p - h) - np.sqrt(p - h) * (np.log(p - h) / 2 + 1)) / (2 * h)
+        assert np.abs(numeric / n_prime - 1).max() < 1e-6
+        bound = _hua_beta_bound(p)
+        assert np.all(np.diff(bound) < 0) and bound[0] < 0.5
+
+    def test_closed_classes_give_3_5_17(self):
+        # P21 below 126 directly, and the bound holds above it for a stretch
+        p21 = [p for p in primes_up_to(2000)[1:] if classify_prime(p) is PrimeClass.P21]
+        assert [p for p in p21 if p < 126 and prime_record(p).beta > 0.5] == [17]
+        assert all(prime_record(p).beta < _hua_beta_bound(p) for p in p21)
+        # P1 and P23: log p / ((p - 1) log 2) falls for p >= 3 and is below
+        # 1/2 from p = 7 on
+        assert [p for p in (3, 5) if math.log(p) / ((p - 1) * LOG2) > 0.5] == [3, 5]
+        q = np.geomspace(3.0, 1e15, 4001)
+        assert np.all(np.diff(np.log(q) / ((q - 1) * LOG2)) < 0)
+        assert math.log(7) / (6 * LOG2) < 0.5
+        closed = [p for p in primes_up_to(2000)[1:]
+                  if classify_prime(p) is not PrimeClass.OTHER and prime_record(p).beta > 0.5]
+        assert closed == [3, 5, 17]

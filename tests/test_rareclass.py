@@ -1,6 +1,5 @@
 """Rarefied sums, the transfer matrix and its spectrum, profiles."""
 
-import builtins
 import cmath
 import decimal
 import math
@@ -136,17 +135,20 @@ def _order_of_two(p):
     return s
 
 
-def _rotated(rows, p, j):
-    """Doubling-table rows rotated to residue j: row[c] = Q_e[(j - c) mod p]."""
-    return [[q[(j - c) % p] for c in range(p)] for q in rows]
+def _table(p, count, dtype=np.int64, start=None):
+    """Rows 0..count-1 of the doubling table from the unit row in `dtype` (or
+    from `start`), as one (count, p) array."""
+    start = np.eye(1, p, dtype=dtype)[0] if start is None else start
+    return np.fromiter(rareclass._doubling_rows(p, count, start), (start.dtype, p), count)
 
 
 def _read_at(p, j, n, ks=0):
-    """(S_{p,j}(n), S_{p,j}(2^ks n)) through the profile's reader: rows of
-    the doubling table rotated to j and one offset walk."""
+    """(S_{p,j}(n), S_{p,j}(2^ks n)) through the profile's reader: int64 rows
+    of the doubling table, and exact rows e + ks read at n's own offsets."""
     top = n.bit_length()
-    rows = list(rareclass._doubling_rows(p, ks + top))
-    return rareclass._read_residue(p, n, _rotated(rows[:top], p, j), _rotated(rows[ks:], p, j))
+    exact = _table(p, ks + top, object)[ks:]
+    raw, refined = rareclass._read_samples(p, j, [n], _table(p, top), exact)
+    return int(raw[0]), int(refined[0])
 
 
 class TestDoublingTable:
@@ -157,10 +159,10 @@ class TestDoublingTable:
     def test_table_matches_digit_recursion(self, p, n):
         expected = rareclass._svec(p, n)
         assert rareclass._table_vector(p, n) == expected
-        rows = list(rareclass._doubling_rows(p, n.bit_length()))
-        for j in range(p):
-            lo = _rotated(rows, p, j)
-            assert rareclass._read_residue(p, n, lo, lo) == (expected[j], expected[j])
+        # the reader at every residue j at once, one copy of n per j
+        lo = _table(p, n.bit_length())
+        raw, refined = rareclass._read_samples(p, np.arange(p), [n] * p, lo, lo)
+        assert raw.tolist() == refined.tolist() == expected
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(data=st.data(), p=st.integers(1, 100).map(lambda k: 2 * k + 1),
@@ -172,6 +174,20 @@ class TestDoublingTable:
         assert rareclass._table_vector(p, n << ks) == expected
         j = data.draw(st.integers(0, p - 1))
         assert _read_at(p, j, n, ks) == (rareclass._svec(p, n)[j], expected[j])
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(p=st.integers(1, 100).map(lambda k: 2 * k + 1), j=st.integers(0, 200),
+           ks=st.lists(st.integers(1, 62), min_size=1, max_size=4),
+           extra=st.lists(st.integers(1, (1 << 62) - 1), max_size=4))
+    @example(p=201, j=200, ks=[62, 1], extra=[])
+    def test_batched_read_matches_digit_recursion(self, p, j, ks, extra):
+        # one batch mixing 1, 2^k, 2^k - 1 and 2^62 - 1: exact int64 sums
+        j %= p
+        ns = [1, (1 << 62) - 1, *(1 << k for k in ks), *((1 << k) - 1 for k in ks), *extra]
+        lo = _table(p, 63)
+        raw, _ = rareclass._read_samples(p, j, ns, lo, lo)
+        assert raw.dtype == np.int64
+        assert raw.tolist() == [rareclass._svec(p, n)[j] for n in ns]
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(p=st.integers(1, 25).map(lambda k: 2 * k + 1),
@@ -190,21 +206,26 @@ class TestDoublingTable:
             assert [_read_at(7, j, n)[0] for j in range(7)] == expected
 
     def test_reads_n_from_2_63(self):
+        # the exact object rows read any n; the int64 reader refuses n >= 2^63
+        # rather than wrap
         for n in (1 << 63, (1 << 100) + 12345):
             assert rareclass._table_vector(3, n) == rareclass._svec(3, n)
             assert rarefied_sum(9, 4, n) == rareclass._svec(9, n)[4]
+        lo = _table(3, 64, object)
+        for ns in ([1 << 63], [5, (1 << 63) + 7], [1 << 70]):
+            with pytest.raises(ValueError, match=r"below 2\^63"):
+                rareclass._read_samples(3, 0, ns, lo, lo)
 
     def test_corrupted_row_fails_row_sum(self, monkeypatch):
-        # a rotate-and-subtract whose first entry is off by one
-        def corrupted(a, b):
-            pairs = list(builtins.zip(a, b))
-            return [(pairs[0][0] + 1, pairs[0][1])] + pairs[1:]
-
-        rows = rareclass._doubling_rows(5, 4)
-        assert next(rows) == [1, 0, 0, 0, 0]
-        monkeypatch.setattr(rareclass, "zip", corrupted, raising=False)
-        with pytest.raises(ArithmeticError, match="doubling row 1 at p=5 sums to 1"):
-            next(rows)
+        # a rotate step whose first entry is off by one, so row 1 sums to 1:
+        # the exact vector refuses it at its set bit 1, the profile at its
+        # int64 table's row sums
+        real_rotate = rareclass._rotate
+        monkeypatch.setattr(rareclass, "_rotate",
+                            lambda q, c: real_rotate(q, c) - np.eye(1, len(q), dtype=q.dtype)[0])
+        for build in (lambda: rareclass._table_vector(5, 2), lambda: fractal_profile(5, 0, 8, 4)):
+            with pytest.raises(ArithmeticError, match="doubling row 1 at p=5 sums to 1"):
+                build()
 
 
 class TestRarefiedRows:
@@ -312,22 +333,27 @@ class TestProfileBitIdentity:
 
     @pytest.mark.parametrize("p", [3, 7, 17, 137])  # P1, P23, P21, P21
     def test_refined_dot_equals_the_generator(self, p):
-        # the projected rows pi * Q_e, read at n's offsets, give Pi S(n) (pi
-        # convolved with the digit recursion's vector, exactly in rationals)
-        # for n up to and past 2^62
+        # the projected rows pi * Q_e, read by the batched reader at n's
+        # offsets, give Pi S(n) (pi convolved with the digit recursion's
+        # vector, exactly in rationals) for n up to 2^63 - 1; past it the
+        # exact table vector and `profile_value` do
         pi = rareclass._projector(rareclass._prime_spectrum(p))
-        ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 70) + 12345]
-        top = max(ns).bit_length()
-        rows = list(rareclass._doubling_rows(p, top))
-        projected = list(rareclass._doubling_rows(p, top, pi))
+        beta = rareclass._prime_spectrum(p).exponents.beta
+        ns = [1, 2, 6, 1001, (1 << 45) + 3, (1 << 62) - 1, (1 << 63) - 1]
+        far = (1 << 70) + 12345
+        lo, hi = _table(p, 63), _table(p, 63, start=np.array(pi))
+        vecs = {n: rareclass._svec(p, n) for n in [*ns, far]}
+        assert rareclass._table_vector(p, far) == vecs[far]
         for j in sorted({*range(0, p, max(1, p // 9)), p - 1}):
-            lo, hi = _rotated(rows, p, j), _rotated(projected, p, j)
-            for n in ns:
-                sv = rareclass._svec(p, n)
-                exact = sum(Fraction(pi[(j - i) % p]) * v for i, v in enumerate(sv))
-                raw, refined = rareclass._read_residue(p, n, lo, hi)
-                assert raw == sv[j]
-                assert abs(refined - exact) <= 1e-13 * max(1, max(map(abs, sv)))
+            exact = {n: sum(Fraction(pi[(j - i) % p]) * v for i, v in enumerate(sv))
+                     for n, sv in vecs.items()}
+            raw, refined = rareclass._read_samples(p, j, ns, lo, hi)
+            for n, got_raw, got in zip(ns, raw.tolist(), refined.tolist()):
+                assert got_raw == vecs[n][j]
+                assert abs(got - exact[n]) <= 1e-13 * max(1, max(map(abs, vecs[n])))
+            nb = float(far) ** beta
+            got = rareclass.profile_value(p, j, far)
+            assert abs(got - float(exact[far]) / nb) <= 1e-13 * max(map(abs, vecs[far])) / nb
 
     @pytest.mark.parametrize("p, horizon", [(3, 24), (7, 30), (17, 48), (137, 40)])
     def test_profile_value_matches_fractal_profile(self, p, horizon):
@@ -354,15 +380,21 @@ class TestProfileBitIdentity:
     def test_samples_never_apply_the_matrix(self, monkeypatch):
         # the projected values are read off the two tables: no apply call,
         # and no row at or above the bit length of the largest sample
-        calls, rows = [], []
+        calls, rows, reads = [], [], []
         real_apply, real_rows = rareclass.TransferMatrix.apply, rareclass._doubling_rows
+        real_read = rareclass._read_samples
         monkeypatch.setattr(rareclass.TransferMatrix, "apply",
                             lambda self, vec: calls.append(1) or real_apply(self, vec))
         monkeypatch.setattr(rareclass, "_doubling_rows",
-                            lambda p, count, *start: rows.append(count) or real_rows(p, count, *start))
+                            lambda p, count, start: rows.append(count) or real_rows(p, count, start))
+        monkeypatch.setattr(rareclass, "_read_samples", lambda p, j, ns, lo, hi: reads.append(
+            (len(ns), lo.shape, lo.dtype, hi.dtype)) or real_read(p, j, ns, lo, hi))
         prof = fractal_profile(17, 0, 40, resolution=64)
         assert len(prof.n_samples) > 0 and calls == []
-        assert rows == [int(prof.n_samples.max()).bit_length()] * 2
+        top = int(prof.n_samples.max()).bit_length()
+        assert rows == [top] * 2
+        # one batched read of every sample, off (H, p) int64 and float64 tables
+        assert reads == [(len(prof.n_samples), (top, 17), np.int64, np.float64)]
         assert not np.array_equal(prof.values, prof.raw)
 
     def test_refinement_from_the_log2_moduli(self):
