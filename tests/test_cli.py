@@ -768,9 +768,9 @@ class TestGoldenBytes:
         (["rarefy", "--p", "137", "--limit", "2000", "--format", "json"],
          "94c7d49393b954192547ecad4e9d45930818819356f511bef07cd8017855088d"),
         (["spectrum", "--q", VERDICTS, "--format", "csv"],
-         "af39635286d68a6328caf8243b0fde29e89c6ab6c7d0d5087fc1f145282f354b"),
+         "8cab22cbafe1ceecda1851d02eef5b670973258b5bb6880edaa6af963a7ac1b2"),
         (["spectrum", "--q", VERDICTS, "--format", "json"],
-         "43e9bbbbb8031e1b82214e903b185aa739f97b4cd3417fcb4a072eb460c863ef"),
+         "0576b07ea49b3844013bc250447c4f5870842725eb5606fc743121e9066dbec0"),
         (["classify-primes", "--limit", "20000"],
          "df1ff5a125e827f6f5bac6acf3829897f19092ee9af14654041f437ed4ca4182"),
         (["profile", "--p", "17", "--j", "5", *PROFILE, "--format", "json"],

@@ -388,13 +388,16 @@ class TestProfileBitIdentity:
         monkeypatch.setattr(rareclass, "_doubling_rows",
                             lambda p, count, start: rows.append(count) or real_rows(p, count, start))
         monkeypatch.setattr(rareclass, "_read_samples", lambda p, j, ns, lo, hi: reads.append(
-            (len(ns), lo.shape, lo.dtype, hi.dtype)) or real_read(p, j, ns, lo, hi))
+            (len(ns), type(lo), type(hi))) or real_read(p, j, ns, lo, hi))
         prof = fractal_profile(17, 0, 40, resolution=64)
         assert len(prof.n_samples) > 0 and calls == []
         top = int(prof.n_samples.max()).bit_length()
         assert rows == [top] * 2
-        # one batched read of every sample, off (H, p) int64 and float64 tables
-        assert reads == [(len(prof.n_samples), (top, 17), np.int64, np.float64)]
+        # one batched read of every sample, off int64 and float64 rows that
+        # stream in as they are built, never as whole tables
+        assert [(k, np.ndarray in (lo, hi)) for k, lo, hi in reads] == [
+            (len(prof.n_samples), False)]
+        assert prof.raw.dtype == prof.values.dtype == np.float64
         assert not np.array_equal(prof.values, prof.raw)
 
     def test_refinement_from_the_log2_moduli(self):
@@ -460,6 +463,19 @@ class TestProfileBitIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+    def test_rows_are_read_as_they_are_built(self):
+        # 76 samples of up to 62 bits at p = 8191: whole tables would hold
+        # 62 x 8191 x 16 bytes = 8.1 MB (9.4 MB traced); each row's entries at
+        # the samples' offsets take 62 x 76 x 24 bytes, so the peak is O(HK + p)
+        tracemalloc.start()
+        try:
+            prof = fractal_profile(8191, 3, 62, resolution=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prof.n_samples) == 76 and int(prof.n_samples.max()).bit_length() == 62
+        assert peak < 4 << 20
 
     def test_horizon_above_62_is_refused(self):
         with pytest.raises(ValueError, match=r"2\^62"):
@@ -641,6 +657,13 @@ class TestSpectrumOfM:
         assert residue_exponent(17, 5) == pytest.approx(b3, rel=1e-12)
 
 
+def _dominant_row(sp):
+    """The coset spectrum's dominant row: the largest modulus, ties to the
+    smallest member, as `_prime_spectrum` reads it."""
+    top = np.flatnonzero(sp.log2_moduli == sp.log2_moduli.max())
+    return top[sp.cosets[top].min(axis=1).argmin()]
+
+
 class TestCosetSpectrum:
     def test_cosets_match_the_residue_scan(self):
         for p in _ODD_PRIMES_2000[:80]:
@@ -651,7 +674,7 @@ class TestCosetSpectrum:
         # P1, P21 and P23 primes take their exponents from the closed forms,
         # bit for bit, and the coset spectrum is the oracle: its sum of p - 1
         # logarithms cancels down to log2 p, so it drifts with p (worst
-        # 3.0e-13 relative below 20000, at p = 19541)
+        # 1.7e-13 relative below 20000, at p = 19949)
         assert len(_CLOSED_FORM_PRIMES_20000) == 1476
         for p in _CLOSED_FORM_PRIMES_20000:
             rec = quadfield.prime_record(p)
@@ -659,7 +682,7 @@ class TestCosetSpectrum:
             assert (exps.beta, exps.lambda1, exps.lambda2) == (
                 rec.beta, 2.0**rec.log2_lambda1, 2.0**rec.log2_lambda2), p
             sp = rareclass._coset_spectrum(p)
-            logs = sp.log2_moduli.tolist()
+            logs = sorted(sp.log2_moduli.tolist(), reverse=True)
             assert abs(logs[0] / sp.s - rec.beta) <= 4e-13 * rec.beta, p
             beta1 = logs[1] / sp.s if len(logs) > 1 and logs[1] > 0.0 else 0.0
             assert abs(exps.beta1 - beta1) <= 4e-13 * rec.beta, p
@@ -669,7 +692,7 @@ class TestCosetSpectrum:
         # of the dominant coset: xi = |xi| (-i)^a, a = s + 2 [sign < 0]
         for p in _CLOSED_FORM_PRIMES_20000:
             sp = rareclass._coset_spectrum(p)
-            a = (sp.s + (2 if sp.signs[0] < 0 else 0)) % 4
+            a = (sp.s + (2 if sp.signs[_dominant_row(sp)] < 0 else 0)) % 4
             assert profile_period_factor(p) == (1, 4, 2, 4)[a], p
 
     @pytest.mark.parametrize("p", [3, 5, 11, 2963, 1000003,       # P1
@@ -696,14 +719,46 @@ class TestCosetSpectrum:
         rareclass._coset_spectrum.cache_clear()
         assert eigenvalues_explicit(p) == first
         sp = rareclass._coset_spectrum(p)
-        rows = [set(row) for row in sp.cosets.tolist()]
-        logs = sp.log2_moduli.tolist()
+        # the order eigenvalues_explicit reads them in
+        order = np.lexsort((sp.cosets.min(axis=1), -sp.log2_moduli))
+        rows = [set(row) for row in sp.cosets[order].tolist()]
+        logs = sp.log2_moduli[order].tolist()
+        assert first == [rareclass._on_axis(sign * 2.0**lg, sp.s)
+                         for sign, lg in zip(sp.signs[order].tolist(), logs)]
         for i, row in enumerate(rows):
             j = next(k for k, other in enumerate(rows) if p - min(row) in other)
             # -1 is not in <2> for these p: every coset has a distinct conjugate
             assert abs(i - j) == 1, (p, i, j)
             assert logs[i] == logs[j]
             assert (i < j) == (min(row) < min(rows[j]))
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(data=st.data(), p=st.sampled_from(quadfield.primes_up_to(1 << 16)[1:]))
+    @example(data=None, p=43)
+    @example(data=None, p=8191)
+    @example(data=None, p=131071)
+    def test_orbit_order_sums_match_the_sorted_rows(self, orbit_log2, data, p):
+        sp = rareclass._coset_spectrum(p)
+        logs, m = sp.log2_moduli, len(sp.log2_moduli)
+        oracle = orbit_log2(np.array(sp.cosets), p)
+        assert np.all(np.abs(logs - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle))), p
+        # conjugate cosets tie bit for bit: -C is C itself (s even) or row i + m/2
+        for i, row in enumerate(sp.cosets.tolist()):
+            k = i if sp.s % 2 == 0 else (i + m // 2) % m
+            assert {p - w for w in row} == set(sp.cosets[k].tolist()) and logs[k] == logs[i]
+        if m > 2:       # Other: beta_t is t's coset sum, beta the dominant one
+            rows = [_dominant_row(sp)]
+            if data is not None:
+                rows.append(data.draw(st.integers(0, m - 1)))
+            for i in rows:
+                for t in sp.cosets[i, :3].tolist():
+                    assert residue_exponent(p, t) == float(logs[i]) / sp.s, (p, t)
+            assert residue_exponent(p, int(sp.cosets[rows[0], 0])) == scaling_exponents(p).beta
+        if p < 2000:    # eigenvalues_explicit sorts as the oracle would
+            order = np.lexsort((sp.cosets.min(axis=1), -oracle))
+            assert eigenvalues_explicit(p) == [
+                rareclass._on_axis(sign * rareclass._exp2(lg), sp.s)
+                for sign, lg in zip(sp.signs[order].tolist(), logs[order].tolist())]
 
     def test_residue_exponent_at_large_p21_primes(self):
         # |mu_t| underflows at these p: the product route failed or gave nan

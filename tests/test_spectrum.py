@@ -260,7 +260,7 @@ class TestClassify:
         def refuse(*args):
             raise AssertionError("O(p) orbit work on a closed-form route")
 
-        monkeypatch.setattr(rareclass, "_orbit_log2", refuse)
+        monkeypatch.setattr(rareclass, "_log2_sines", refuse)
         monkeypatch.setattr(rareclass, "_coset_spectrum", refuse)
         for q in (Fraction(1, 199961), Fraction(3, 199961), Fraction(5, 7), Fraction(2, 3)):
             v = classify(q, params21)
